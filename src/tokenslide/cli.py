@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
+from typing import TextIO
 
 from .crosscheck import CLASSES, crosscheck
 from .caterpillar import solve_caterpillar
@@ -128,7 +129,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         seq = parse_sequence(text, inst.blue)
     except InstanceFormatError as err:
         return _fail(f"ERROR PARSE: {err}")
-    check = validate_sequence(inst.graph, inst.blue, inst.red, seq)
+    # a representation is checked by rank overlap, never building its edges
+    structure = inst.rep if inst.rep is not None else inst.graph
+    check = validate_sequence(structure, inst.blue, inst.red, seq)
     with _open_out(args.out) as out:
         if check.ok:
             print("OK", file=out)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -166,8 +167,81 @@ class ValidationResult:
     reason: str | None = None
 
 
+class _AdjacencyTokens:
+    """Occupied vertices of a Graph; edges come from its adjacency lists."""
+
+    __slots__ = ("g", "adj", "occupied")
+
+    def __init__(self, g: Graph, tokens: set[int]):
+        self.g = g
+        self.adj = g.adj
+        self.occupied = set(tokens)
+
+    def independent(self) -> bool:
+        return self.g.is_independent(self.occupied)
+
+    def meets(self, u: int, v: int) -> bool:
+        return v in self.adj[u]
+
+    def slide(self, src: int, dst: int) -> bool:
+        """Move the token on src to dst unless dst meets another token."""
+        occupied = self.occupied
+        occupied.discard(src)
+        if not occupied.isdisjoint(self.adj[dst]):
+            return False
+        occupied.add(dst)
+        return True
+
+
+class _RankTokens:
+    """Occupied intervals of a representation, as rank lists in left order.
+
+    Two intervals meet iff each one's left rank lies before the other's
+    right rank.  Occupied intervals are pairwise disjoint, so sorting them
+    by left rank also sorts their right ranks.  An interval that meets the
+    token on src and no other token takes src's place in that order, and
+    one that meets a further token meets src's neighbour in the order on
+    that side, so a slide compares against those two neighbours only.
+    """
+
+    __slots__ = ("n", "left", "right", "occupied", "lefts", "rights")
+
+    def __init__(self, rep: IntervalRepresentation, tokens: set[int]):
+        self.n = rep.n
+        self.left = rep.left_rank
+        self.right = rep.right_rank
+        self.occupied = set(tokens)
+        spans = sorted((self.left[v], self.right[v]) for v in self.occupied)
+        self.lefts = [lo for lo, _ in spans]
+        self.rights = [hi for _, hi in spans]
+
+    def independent(self) -> bool:
+        return all(hi < lo for hi, lo in zip(self.rights, self.lefts[1:]))
+
+    def meets(self, u: int, v: int) -> bool:
+        # u holds a token, so it is in range; v comes straight from a move
+        # and is range-checked before it indexes the rank lists
+        left, right = self.left, self.right
+        return 1 <= v <= self.n and left[u] < right[v] and left[v] < right[u]
+
+    def slide(self, src: int, dst: int) -> bool:
+        """Move the token on src to dst, which meets src, unless dst meets
+        another token."""
+        lefts, rights = self.lefts, self.rights
+        lo, hi = self.left[dst], self.right[dst]
+        at = bisect_left(lefts, self.left[src])
+        if at > 0 and rights[at - 1] > lo:
+            return False
+        if at + 1 < len(lefts) and lefts[at + 1] < hi:
+            return False
+        lefts[at], rights[at] = lo, hi
+        self.occupied.discard(src)
+        self.occupied.add(dst)
+        return True
+
+
 def validate_sequence(
-    g: Graph,
+    g: Graph | IntervalRepresentation,
     blue: Iterable[int],
     red: Iterable[int],
     seq,
@@ -179,6 +253,12 @@ def validate_sequence(
     red, and that every step slides one token along an edge into an
     unoccupied vertex while keeping the set independent.  The step index
     of the first violation is 1-based; step 0 flags a wrong initial set.
+    Blue vertices outside 1..n raise ValueError.
+
+    ``g`` is a Graph or an IntervalRepresentation.  A representation is
+    checked without building any edge: O(n + k log k) set-up for k
+    tokens, then one bisect per move, since two intervals meet iff their
+    rank ranges overlap.  Both inputs give the same verdicts.
     """
     blue_set = set(blue)
     red_set = set(red)
@@ -188,21 +268,24 @@ def validate_sequence(
         initial, moves = tuple(blue_set), tuple(seq)
     if set(initial) != blue_set:
         return ValidationResult(False, 0, "WRONG_INITIAL_SET")
-    if not g.is_independent(blue_set):
+    if not all(1 <= v <= g.n for v in blue_set):
+        raise ValueError(f"blue vertex out of range 1..{g.n}")
+    if isinstance(g, IntervalRepresentation):
+        tokens = _RankTokens(g, blue_set)
+    else:
+        tokens = _AdjacencyTokens(g, blue_set)
+    if not tokens.independent():
         return ValidationResult(False, 0, "NOT_INDEPENDENT")
-    current = set(blue_set)
+    current, meets, slide = tokens.occupied, tokens.meets, tokens.slide
     for step, (src, dst) in enumerate(moves, start=1):
         if src not in current:
             return ValidationResult(False, step, "SOURCE_NOT_OCCUPIED")
         if dst in current:
             return ValidationResult(False, step, "TARGET_OCCUPIED")
-        if dst not in g.adj[src]:
+        if not meets(src, dst):
             return ValidationResult(False, step, "NOT_AN_EDGE")
-        current.discard(src)
-        if any(w in current for w in g.adj[dst]):
-            current.add(src)
+        if not slide(src, dst):
             return ValidationResult(False, step, "NOT_INDEPENDENT")
-        current.add(dst)
     if current != red_set:
         return ValidationResult(False, len(moves), "WRONG_FINAL_SET")
     return ValidationResult(True)

@@ -3,6 +3,8 @@
 import pytest
 
 from tokenslide.cli import main
+from tokenslide.graphs import Graph
+from tokenslide.intervals import IntervalRepresentation
 
 P8_REP = "n 8\nrep L1 L2 R1 L3 R2 L4 R3 L5 R4 L6 R5 L7 R6 L8 R7 R8\nblue 1\nred 8\n"
 
@@ -123,6 +125,33 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--in", inst, "--seq", seq)
         assert code == 2
         assert "ERROR PARSE" in err
+
+    def test_representation_verified_without_edges(self, tmp_path, capsys, monkeypatch):
+        # chain of 4,000 nested intervals, each holding one leaf, the
+        # innermost a second leaf: about 16M intersection edges
+        depth = 4000
+        events = []
+        for i in range(1, depth + 1):
+            events += [f"L{i}", f"L{depth + i}", f"R{depth + i}"]
+        extra = 2 * depth + 1
+        events += [f"L{extra}", f"R{extra}"] + [f"R{i}" for i in range(depth, 0, -1)]
+        blue = list(range(depth + 1, 2 * depth + 1, 40))
+        red = blue[:-1] + [extra]
+        deepest = blue[-1]
+        inst = write(tmp_path, "inst.txt", (
+            f"n {extra}\nrep {' '.join(events)}\n"
+            f"blue {' '.join(map(str, blue))}\nred {' '.join(map(str, red))}\n"
+        ))
+        # the leaf slides into its chain interval, which holds the extra leaf
+        seq = write(tmp_path, "seq.txt", f"MOVES 2\n{deepest} {deepest - depth}\n{deepest - depth} {extra}\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify built intersection edges")
+
+        monkeypatch.setattr(IntervalRepresentation, "intersection_edges", refuse)
+        monkeypatch.setattr(Graph, "__init__", refuse)
+        code, out, _ = run(capsys, "verify", "--in", inst, "--seq", seq)
+        assert (code, out) == (0, "OK\n")
 
 
 class TestOracle:

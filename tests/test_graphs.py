@@ -1,17 +1,24 @@
 """Graph model, twins, caterpillar recognition, and sequence validation."""
 
+import random
+
 import pytest
 
+from tokenslide.generate import (
+    enumerate_proper_representations,
+    enumerate_tp_representations,
+)
 from tokenslide.graphs import (
     CaterpillarError,
     Graph,
     Move,
     ReconfigSequence,
+    ValidationResult,
     find_strong_twins,
     recognize_caterpillar,
     validate_sequence,
 )
-from tokenslide.intervals import parse_representation
+from tokenslide.intervals import GraphClass, IntervalRepresentation, parse_representation
 
 
 def path_graph(n):
@@ -135,6 +142,108 @@ def test_validate_source_and_target_occupancy():
     assert res.reason == "SOURCE_NOT_OCCUPIED"
     res = validate_sequence(g, [1, 4], [1, 4], ReconfigSequence((1, 4), (Move(4, 4),)))
     assert res.reason in ("TARGET_OCCUPIED", "NOT_AN_EDGE")
+
+
+def random_general_representation(n, rng):
+    """A seeded endpoint word with partial overlaps and unequal orders."""
+    while True:
+        ids = rng.sample(range(1, n + 1), n)
+        events, open_ids = [], []
+        while ids or open_ids:
+            if ids and (not open_ids or rng.random() < 0.5):
+                open_ids.append(ids.pop())
+                events.append(("L", open_ids[-1]))
+            else:
+                events.append(("R", open_ids.pop(rng.randrange(len(open_ids)))))
+        rep = IntervalRepresentation(tuple(events))
+        if rep.classify() is GraphClass.NEITHER:
+            return rep
+
+
+def random_slides(g, tokens, steps, rng):
+    """A legal slide walk from an independent token set."""
+    occupied, moves = set(tokens), []
+    for _ in range(steps):
+        src = rng.choice(sorted(occupied))
+        free = [w for w in g.adj[src] if w not in occupied
+                and all(x == src or x not in occupied for x in g.adj[w])]
+        if free:
+            dst = rng.choice(free)
+            occupied.remove(src)
+            occupied.add(dst)
+            moves.append(Move(src, dst))
+    return moves, occupied
+
+
+def differential_cases(g, rng):
+    """(blue, red, seq) triples: valid walks, then seeded corruptions that
+    reach every rejection, including move targets off the vertex range."""
+    n = g.n
+    for _ in range(6):
+        k = rng.randint(1, min(3, n))
+        blue = set()
+        for v in rng.sample(range(1, n + 1), n):
+            if len(blue) < k and all(w not in blue for w in g.adj[v]):
+                blue.add(v)
+        moves, final = random_slides(g, blue, rng.randint(0, 8), rng)
+        yield blue, final, ReconfigSequence(tuple(sorted(blue)), tuple(moves))
+        yield blue, final, moves
+        yield blue, set(rng.sample(range(1, n + 1), len(blue))), moves
+        yield blue, final, ReconfigSequence(tuple(sorted(blue))[1:], tuple(moves))
+        for target in (0, -1, n + 1):
+            at = rng.randint(0, len(moves))
+            src = moves[at - 1].dst if at else rng.choice(sorted(blue))
+            yield blue, final, moves[:at] + [Move(src, target)] + moves[at:]
+        for _ in range(4):
+            at = rng.randint(0, len(moves))
+            bad = Move(rng.randint(1, n), rng.randint(-1, n + 1))
+            yield blue, final, moves[:at] + [bad] + moves[at:]
+        if g.m:
+            u, v = rng.choice(g.edges())
+            yield {u, v}, {u, v}, []
+
+
+def test_representation_and_graph_verdicts_agree():
+    rng = random.Random(20151101)
+    reps = [rep for n in range(1, 7) for rep in enumerate_proper_representations(n)]
+    reps += [rep for n in range(1, 7) for rep in enumerate_tp_representations(n)]
+    reps += [random_general_representation(rng.randint(3, 9), rng) for _ in range(150)]
+    reasons = set()
+    cases = 0
+    for rep in reps:
+        g = Graph.from_representation(rep)
+        for blue, red, seq in differential_cases(g, rng):
+            expected = validate_sequence(g, blue, red, seq)
+            assert validate_sequence(rep, blue, red, seq) == expected, (rep.serialize(), blue, red, seq)
+            reasons.add((expected.reason, expected.step == 0))
+            cases += 1
+    assert cases > 10_000
+    assert reasons >= {
+        (None, False),
+        ("WRONG_INITIAL_SET", True),
+        ("NOT_INDEPENDENT", True),
+        ("NOT_INDEPENDENT", False),
+        ("SOURCE_NOT_OCCUPIED", False),
+        ("TARGET_OCCUPIED", False),
+        ("NOT_AN_EDGE", False),
+        ("WRONG_FINAL_SET", False),
+    }
+
+
+@pytest.mark.parametrize("target", [0, -1, 9])
+def test_off_range_target_is_not_an_edge(target):
+    rep = parse_representation("L1 L2 R1 L3 R2 L4 R3 L5 R4 L6 R5 L7 R6 L8 R7 R8")
+    for structure in (rep, Graph.from_representation(rep)):
+        res = validate_sequence(structure, [1], [1], [Move(1, target)])
+        assert res == ValidationResult(False, 1, "NOT_AN_EDGE")
+
+
+@pytest.mark.parametrize("blue", [[0], [-1], [4]])
+def test_off_range_blue_rejected(blue):
+    rep = parse_representation("L1 L2 R1 L3 R2 R3")
+    for structure in (rep, Graph.from_representation(rep)):
+        with pytest.raises(ValueError):
+            validate_sequence(structure, blue, blue, [])
 
 
 # -- caterpillar recognition -------------------------------------------------
