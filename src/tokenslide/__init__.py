@@ -5,16 +5,11 @@ from .caterpillar import mark_locked, solve_caterpillar
 from .crosscheck import CrosscheckReport, Mismatch, crosscheck
 from .generate import GenerationError, gen_instance, quadratic_path_instance
 from .graphs import (
-    CaterpillarError,
-    CaterpillarStructure,
     Graph,
-    IndependentSet,
     Move,
     ReconfigSequence,
     ValidationResult,
     find_strong_twins,
-    intersection_graph,
-    recognize_caterpillar,
     validate_sequence,
 )
 from .instances import (
@@ -31,19 +26,16 @@ from .intervals import (
     RepresentationError,
     parse_representation,
 )
-from .oracle import OracleResult, SlideSpace, bfs, bfs_labeled, is_stuck, slide_neighbors
+from .oracle import OracleResult, SlideSpace, bfs, is_stuck, slide_neighbors
 from .proper import solve_proper, solve_proper_components
 from .results import SolveResult, SolverInputError
 from .trivially_perfect import solve_tp
 
 __all__ = [
-    "CaterpillarError",
-    "CaterpillarStructure",
     "CrosscheckReport",
     "GenerationError",
     "Graph",
     "GraphClass",
-    "IndependentSet",
     "Instance",
     "InstanceFormatError",
     "IntervalRepresentation",
@@ -57,18 +49,15 @@ __all__ = [
     "SolverInputError",
     "ValidationResult",
     "bfs",
-    "bfs_labeled",
     "crosscheck",
     "find_strong_twins",
     "gen_instance",
-    "intersection_graph",
     "is_stuck",
     "mark_locked",
     "parse_instance",
     "parse_representation",
     "parse_sequence",
     "quadratic_path_instance",
-    "recognize_caterpillar",
     "serialize_instance",
     "serialize_sequence",
     "slide_neighbors",

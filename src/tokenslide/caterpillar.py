@@ -45,7 +45,13 @@ from __future__ import annotations
 from heapq import heappop, heappush
 
 from .graphs import Graph
-from .results import SolveResult, SolverInputError, no_result, yes_result
+from .results import (
+    SolveResult,
+    SolverInputError,
+    check_tokens,
+    no_result,
+    yes_result,
+)
 
 _MAKE_WAY_LIMIT = 64
 
@@ -186,53 +192,37 @@ def _check_shape(g: Graph, comps: list[list[int]]):
     return structs
 
 
-def _check_tokens(label: str, tokens, g: Graph) -> None:
-    seen = set()
-    for v in tokens:
-        if not 1 <= v <= g.n:
-            raise SolverInputError(
-                "UNKNOWN_VERTEX", f"{label} token {v} is not a vertex", (v,)
-            )
-        if v in seen:
-            raise SolverInputError(
-                "NOT_INDEPENDENT", f"{label} lists vertex {v} twice", (v, v)
-            )
-        seen.add(v)
-    for v in seen:
-        for w in g.adj[v]:
-            if w in seen:
-                raise SolverInputError(
-                    "NOT_INDEPENDENT",
-                    f"{label} tokens touch each other",
-                    (min(v, w), max(v, w)),
-                )
+def _touching(adj):
+    """Adjacency test for check_tokens, straight from adjacency lists."""
+
+    def pair(tokens) -> tuple[int, int] | None:
+        tset = set(tokens)
+        for v in tset:
+            for w in adj[v]:
+                if w in tset:
+                    return min(v, w), max(v, w)
+        return None
+
+    return pair
 
 
 def mark_locked(g: Graph, tokens) -> frozenset[int]:
     """Vertices frozen in place by the token set, over all components.
 
     A token set is stuck (no legal slide exists) exactly when every
-    token lies on a locked vertex.
+    token lies on a locked vertex.  Tokens must form an independent set
+    of ``g``; otherwise SolverInputError is raised.
     """
-    tset = set()
-    for v in tokens:
-        if not 1 <= v <= g.n:
-            raise SolverInputError(
-                "UNKNOWN_VERTEX", f"token {v} is not a vertex", (v,)
-            )
-        tset.add(v)
+    tset = set(check_tokens("", tokens, g.n, _touching(g.adj)))
     comps = [sorted(c) for c in g.components()]
-    _check_shape(g, [c for c in comps if len(c) != 2])
+    structs = _check_shape(g, [c for c in comps if len(c) != 2])
     marked: set[int] = set()
     for comp in comps:
         if len(comp) == 1:
             if comp[0] in tset:
                 marked.add(comp[0])
-            continue
-        if len(comp) == 2:
-            continue
-        spine, leaves = _structure(g.adj, set(comp))
-        marked |= _mark(spine, leaves, tset)
+        elif len(comp) >= 3:
+            marked |= _mark(*structs[comp[0]], tset)
     return frozenset(marked)
 
 
@@ -248,16 +238,12 @@ class _Token:
 class _Scheduler:
     """Emits one piece's schedule by simulating the actual slides."""
 
-    def __init__(self, adj, spine, leaves, pairs):
+    def __init__(self, adj, spine, leaves, group, pairs):
         self.adj = adj
         self.spine = spine
         self.leaves = leaves
         self.spine_set = set(spine)
-        self.group = {}
-        for i, s in enumerate(spine):
-            self.group[s] = i
-            for l in leaves[i]:
-                self.group[l] = i
+        self.group = group
         self.tokens = [_Token(b, r) for b, r in pairs]
         self.occupied = {t.current: t for t in self.tokens}
         self.owner = {t.target: t for t in self.tokens}
@@ -726,20 +712,14 @@ def _piece_moves(adj, cells: set[int], bset: set[int], rset: set[int],
 
     if decide:
         return []
-    pairs = list(zip(
-        sorted(bset, key=lambda v: _group_key(spine, leaves, v)),
-        sorted(rset, key=lambda v: _group_key(spine, leaves, v)),
-    ))
-    return _Scheduler(adj, spine, leaves, pairs).run()
-
-
-def _group_key(spine, leaves, v: int) -> int:
     # at most one token of a colour per group, so the group index alone
     # orders a colour class totally
-    for i, s in enumerate(spine):
-        if v == s or v in leaves[i]:
-            return i
-    raise AssertionError(f"cell {v} not in piece")
+    group = {v: i for i, s in enumerate(spine) for v in (s, *leaves[i])}
+    pairs = list(zip(
+        sorted(bset, key=group.__getitem__),
+        sorted(rset, key=group.__getitem__),
+    ))
+    return _Scheduler(adj, spine, leaves, group, pairs).run()
 
 
 def _recurse(adj, comps: list[list[int]], bset: set[int], rset: set[int],
@@ -762,10 +742,9 @@ def solve_caterpillar(g: Graph, blue, red, decide: bool = False) -> SolveResult:
     comps = [sorted(c) for c in g.components()]
     comps.sort(key=lambda c: c[0])
     structs = _check_shape(g, comps)
-    _check_tokens("blue", blue, g)
-    _check_tokens("red", red, g)
-    blue = tuple(blue)
-    red = tuple(red)
+    touching = _touching(g.adj)
+    blue = check_tokens("blue", blue, g.n, touching)
+    red = check_tokens("red", red, g.n, touching)
     if len(blue) != len(red):
         return no_result("CARDINALITY_MISMATCH", (len(blue), len(red)))
     try:

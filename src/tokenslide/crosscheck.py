@@ -40,7 +40,10 @@ from .trivially_perfect import solve_tp
 
 CLASSES = ("proper", "tp", "caterpillar")
 
-Solver = Callable[[Instance], SolveResult]
+Solver = Callable[
+    [IntervalRepresentation | None, Graph, tuple[int, ...], tuple[int, ...]],
+    SolveResult,
+]
 
 
 @dataclass(frozen=True)
@@ -82,12 +85,33 @@ def _make_instance(
     return Instance(g.n, rep, edges, tuple(blue), tuple(red))
 
 
-def _run_solver(cls: str, rep, g: Graph, blue, red) -> SolveResult:
-    if cls == "proper":
-        return solve_proper(rep, blue, red)
-    if cls == "tp":
-        return solve_tp(rep, blue, red)
+# the default solvers are top-level so that worker processes can unpickle them
+def _proper(rep, g: Graph, blue, red) -> SolveResult:
+    return solve_proper(rep, blue, red)
+
+
+def _tp(rep, g: Graph, blue, red) -> SolveResult:
+    return solve_tp(rep, blue, red)
+
+
+def _caterpillar(rep, g: Graph, blue, red) -> SolveResult:
     return solve_caterpillar(g, blue, red)
+
+
+_DEFAULT_SOLVERS: dict[str, Solver] = {
+    "proper": _proper,
+    "tp": _tp,
+    "caterpillar": _caterpillar,
+}
+
+
+def _answer(
+    solver: Solver, rep, g: Graph, blue, red
+) -> SolveResult | SolverInputError:
+    try:
+        return solver(rep, g, blue, red)
+    except SolverInputError as err:
+        return err
 
 
 def _judge(
@@ -154,6 +178,7 @@ def _exhaustive_shard(
     k_max: int,
     shard: int,
     nshards: int,
+    solver: Solver,
 ) -> tuple[int, list[tuple[int, str, str, str, str]]]:
     checked = 0
     found: list[tuple[int, str, str, str, str]] = []
@@ -170,10 +195,7 @@ def _exhaustive_shard(
         for sets in setlists:
             for blue in sets:
                 for red in sets:
-                    try:
-                        outcome = _run_solver(cls, rep, g, blue, red)
-                    except SolverInputError as err:
-                        outcome = err
+                    outcome = _answer(solver, rep, g, blue, red)
                     verdict = _judge(g, blue, red, outcome, space.distance(blue, red))
                     if verdict is not None:
                         inst = _make_instance(rep, g, blue, red)
@@ -214,6 +236,7 @@ def _random_shard(
     cap: int,
     shard: int,
     nshards: int,
+    solver: Solver,
 ) -> tuple[int, list[tuple[int, str, str, str, str]]]:
     checked = 0
     found: list[tuple[int, str, str, str, str]] = []
@@ -226,16 +249,10 @@ def _random_shard(
         if inst is None:
             continue
         g = inst.graph
-        try:
-            outcome = _run_solver(cls, inst.rep, g, inst.blue, inst.red)
-        except SolverInputError as err:
-            outcome = err
+        outcome = _answer(solver, inst.rep, g, inst.blue, inst.red)
         oracle = bfs(g, inst.blue, inst.red, cap)
         dist: int | str | None
-        if oracle.status == "CAP_EXCEEDED":
-            dist = "CAP"
-        else:
-            dist = oracle.distance
+        dist = "CAP" if oracle.status == "CAP_EXCEEDED" else oracle.distance
         verdict = _judge(g, inst.blue, inst.red, outcome, dist)
         if verdict is not None:
             found.append((serial, _inline(inst), *verdict))
@@ -257,21 +274,28 @@ def crosscheck(
 
     ``count=None`` checks every canonical graph with at most ``n_max``
     vertices over all independent-set pairs of equal size up to
-    ``k_max``; a number checks that many seeded random instances.  The
-    ``solver`` hook substitutes the answering function (used to prove
-    the harness catches a corrupted solver) and forces a single process.
+    ``k_max``; a number checks that many seeded random instances.
+
+    The ``solver`` hook substitutes the answering function, which proves
+    the harness catches a corrupted solver.  It is called as
+    ``solver(rep, g, blue, red)``: ``rep`` is the interval representation
+    (None for caterpillars), ``g`` the graph, and ``blue`` and ``red``
+    are vertex tuples.  It returns a SolveResult or raises
+    SolverInputError, and it forces a single process.
     """
     if cls not in CLASSES:
         raise ValueError(f"unknown class {cls!r}, expected one of {CLASSES}")
-    if solver is not None:
-        return _crosscheck_custom(cls, n_max, count, seed, k_max, cap, solver)
-    jobs = max(1, jobs)
+    if solver is None:
+        solver = _DEFAULT_SOLVERS[cls]
+        jobs = max(1, jobs)
+    else:
+        jobs = 1
     if count is None:
-        args = [(cls, n_max, k_max, shard, jobs) for shard in range(jobs)]
+        args = [(cls, n_max, k_max, shard, jobs, solver) for shard in range(jobs)]
         work = _exhaustive_shard
     else:
         args = [
-            (cls, n_max, count, seed, k_max, cap, shard, jobs)
+            (cls, n_max, count, seed, k_max, cap, shard, jobs, solver)
             for shard in range(jobs)
         ]
         work = _random_shard
@@ -282,57 +306,4 @@ def crosscheck(
             parts = list(pool.map(work, *zip(*args)))
     checked = sum(c for c, _ in parts)
     rows = sorted(row for _, found in parts for row in found)
-    return CrosscheckReport(checked, tuple(Mismatch(*row) for row in rows))
-
-
-def _crosscheck_custom(
-    cls: str,
-    n_max: int,
-    count: int | None,
-    seed: int,
-    k_max: int,
-    cap: int,
-    solver: Solver,
-) -> CrosscheckReport:
-    checked = 0
-    rows: list[tuple[int, str, str, str, str]] = []
-    serial = 0
-    if count is None:
-        for rep, g in _graph_stream(cls, n_max):
-            space = SlideSpace(g)
-            for k in range(1, k_max + 1):
-                sets = list(enumerate_independent_sets(g, k))
-                for blue in sets:
-                    for red in sets:
-                        inst = _make_instance(rep, g, blue, red)
-                        try:
-                            outcome = solver(inst)
-                        except SolverInputError as err:
-                            outcome = err
-                        verdict = _judge(
-                            g, blue, red, outcome, space.distance(blue, red)
-                        )
-                        if verdict is not None:
-                            rows.append((serial, _inline(inst), *verdict))
-                        checked += 1
-                        serial += 1
-    else:
-        for serial, (n, k, gseed) in enumerate(
-            _random_params(cls, n_max, count, seed, k_max)
-        ):
-            inst = _instance_from_params(cls, n, k, gseed)
-            if inst is None:
-                continue
-            g = inst.graph
-            try:
-                outcome = solver(inst)
-            except SolverInputError as err:
-                outcome = err
-            oracle = bfs(g, inst.blue, inst.red, cap)
-            dist: int | str | None
-            dist = "CAP" if oracle.status == "CAP_EXCEEDED" else oracle.distance
-            verdict = _judge(g, inst.blue, inst.red, outcome, dist)
-            if verdict is not None:
-                rows.append((serial, _inline(inst), *verdict))
-            checked += 1
     return CrosscheckReport(checked, tuple(Mismatch(*row) for row in rows))

@@ -10,6 +10,7 @@ from typing import Iterator
 from .graphs import Graph, find_strong_twins
 from .instances import Instance
 from .intervals import IntervalRepresentation
+from .trivially_perfect import ContainmentForest, containment_forest
 
 
 class GenerationError(ValueError):
@@ -180,31 +181,14 @@ def _tree_to_representation(children: list[list[int]]) -> IntervalRepresentation
 
 
 def _random_antichain(
-    children: list[list[int]], n: int, k: int, rng: random.Random
+    forest: ContainmentForest, k: int, rng: random.Random
 ) -> tuple[int, ...]:
-    tin = [0] * (n + 1)
-    tout = [0] * (n + 1)
-    clock = 0
-    stack: list[tuple[int, bool]] = [(1, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            tout[node] = clock
-        else:
-            clock += 1
-            tin[node] = clock
-            stack.append((node, True))
-            for child in reversed(children[node]):
-                stack.append((child, False))
-
-    def comparable(u: int, v: int) -> bool:
-        return (tin[u] <= tin[v] <= tout[u]) or (tin[v] <= tin[u] <= tout[v])
-
+    n = forest.n
     for _ in range(400):
         picks: list[int] = []
         candidates = rng.sample(range(1, n + 1), min(n, max(4 * k, k))) if k else []
         for v in candidates:
-            if all(not comparable(v, u) for u in picks):
+            if all(not forest.comparable(v, u) for u in picks):
                 picks.append(v)
                 if len(picks) == k:
                     return tuple(sorted(picks))
@@ -217,8 +201,9 @@ def _gen_tp(n: int, k: int, seed: int) -> Instance:
     rng = random.Random(("tp", n, k, seed).__repr__())
     children = _random_containment_tree(n, rng)
     rep = _tree_to_representation(children)
-    blue = _random_antichain(children, n, k, rng)
-    red = _random_antichain(children, n, k, rng)
+    forest = containment_forest(rep)
+    blue = _random_antichain(forest, k, rng)
+    red = _random_antichain(forest, k, rng)
     return Instance(n, rep, None, blue, red)
 
 

@@ -1,4 +1,4 @@
-"""Graphs, token sets, moves, and structural recognizers."""
+"""Graphs, moves, twin detection, and sequence validation."""
 
 from __future__ import annotations
 
@@ -16,19 +16,6 @@ class Move(NamedTuple):
 
 
 @dataclass(frozen=True)
-class IndependentSet:
-    vertices: tuple[int, ...]
-
-    @classmethod
-    def of(cls, vertices: Iterable[int]) -> "IndependentSet":
-        return cls(tuple(sorted(set(vertices))))
-
-    @property
-    def k(self) -> int:
-        return len(self.vertices)
-
-
-@dataclass(frozen=True)
 class ReconfigSequence:
     """A slide sequence: the initial token set and one move per step."""
 
@@ -38,23 +25,6 @@ class ReconfigSequence:
     @property
     def move_count(self) -> int:
         return len(self.moves)
-
-    @property
-    def length_in_sets(self) -> int:
-        return len(self.moves) + 1
-
-    def sets(self) -> list[tuple[int, ...]]:
-        """Every token set along the sequence, without legality checks."""
-        current = set(self.initial)
-        out = [tuple(sorted(current))]
-        for src, dst in self.moves:
-            current.discard(src)
-            current.add(dst)
-            out.append(tuple(sorted(current)))
-        return out
-
-    def final(self) -> tuple[int, ...]:
-        return self.sets()[-1]
 
 
 class Graph:
@@ -122,7 +92,7 @@ class Graph:
 
     def is_independent(self, vertices: Iterable[int]) -> bool:
         vs = set(vertices)
-        return all(w not in vs for v in vs for w in self.adj[v])
+        return all(vs.isdisjoint(self.adj[v]) for v in vs)
 
     def bfs_distances(self, source: int) -> list[int]:
         """Distance from source to every vertex; -1 for unreachable.  Index 0 unused."""
@@ -140,10 +110,6 @@ class Graph:
 
     def distance(self, u: int, v: int) -> int:
         return self.bfs_distances(u)[v]
-
-
-def intersection_graph(rep: IntervalRepresentation) -> Graph:
-    return Graph.from_representation(rep)
 
 
 def find_strong_twins(g: Graph) -> list[tuple[int, int]]:
@@ -289,71 +255,3 @@ def validate_sequence(
     if current != red_set:
         return ValidationResult(False, len(moves), "WRONG_FINAL_SET")
     return ValidationResult(True)
-
-
-class CaterpillarError(ValueError):
-    def __init__(self, kind: str, message: str):
-        super().__init__(message)
-        self.kind = kind
-
-
-@dataclass(frozen=True)
-class CaterpillarStructure:
-    """Spine order plus the leaves hanging off each spine vertex.
-
-    ``leaves[i]`` lists the leaf vertices of ``spine[i]``.  Graphs with
-    fewer than three vertices have an empty spine and are handled as
-    degenerate cases by callers.  A bare path contributes its endpoints
-    as the leaves of the first and last spine vertex.
-    """
-
-    spine: tuple[int, ...]
-    leaves: tuple[tuple[int, ...], ...]
-
-    def locate(self) -> dict[int, tuple[int, str]]:
-        """vertex -> (spine index, "S" for spine or "L" for leaf)."""
-        where: dict[int, tuple[int, str]] = {}
-        for i, s in enumerate(self.spine):
-            where[s] = (i, "S")
-            for leaf in self.leaves[i]:
-                where[leaf] = (i, "L")
-        return where
-
-
-def recognize_caterpillar(g: Graph) -> CaterpillarStructure:
-    """Check that g is a caterpillar tree and extract its spine.
-
-    The spine is the path left after removing degree-1 vertices; it is
-    oriented to start at its lower-numbered end.  Raises CaterpillarError
-    with kind DISCONNECTED, CYCLIC, or NOT_CATERPILLAR.
-    """
-    if not g.is_connected:
-        raise CaterpillarError("DISCONNECTED", "graph is not connected")
-    if g.m != g.n - 1:
-        raise CaterpillarError("CYCLIC", "graph contains a cycle")
-    if g.n <= 2:
-        return CaterpillarStructure((), ())
-
-    core = [v for v in range(1, g.n + 1) if g.degree(v) >= 2]
-    core_set = set(core)
-    core_deg = {v: sum(1 for u in g.adj[v] if u in core_set) for v in core}
-    if any(d > 2 for d in core_deg.values()):
-        raise CaterpillarError("NOT_CATERPILLAR", "spine of the tree is not a path")
-
-    if len(core) == 1:
-        spine = list(core)
-    else:
-        ends = sorted(v for v in core if core_deg[v] <= 1)
-        start = ends[0]
-        spine = [start]
-        prev = 0
-        while True:
-            nxt = [u for u in g.adj[spine[-1]] if u in core_set and u != prev]
-            if not nxt:
-                break
-            prev = spine[-1]
-            spine.append(nxt[0])
-    leaves = tuple(
-        tuple(sorted(u for u in g.adj[s] if u not in core_set)) for s in spine
-    )
-    return CaterpillarStructure(tuple(spine), leaves)

@@ -102,65 +102,6 @@ def bfs(
     return OracleResult("UNREACHABLE", None, None, explored)
 
 
-def bfs_labeled(
-    g: Graph,
-    blue: Iterable[int],
-    targets: dict[int, int],
-    cap: int = DEFAULT_STATE_CAP,
-) -> OracleResult:
-    """Token-labeled BFS: token starting at b must end exactly at targets[b].
-
-    Used to probe whether a specific target assignment is realizable, as
-    opposed to the unlabeled problem where tokens are interchangeable.
-    """
-    start_list = sorted(blue)
-    goal_tuple = tuple(targets[b] for b in start_list)
-    start_tuple = tuple(start_list)
-    if sorted(targets) != start_list:
-        raise ValueError("targets must assign every blue vertex")
-    if not g.is_independent(start_list):
-        raise ValueError("blue set is not independent")
-    if not g.is_independent(goal_tuple):
-        raise ValueError("target set is not independent")
-    if start_tuple == goal_tuple:
-        return OracleResult("REACHABLE", 0, ReconfigSequence(start_tuple, ()), 1)
-
-    parent: dict[tuple[int, ...], tuple[tuple[int, ...], Move] | None] = {start_tuple: None}
-    queue = deque([(start_tuple, 0)])
-    explored = 0
-    while queue:
-        state, dist = queue.popleft()
-        explored += 1
-        if explored > cap:
-            return OracleResult("CAP_EXCEEDED", None, None, explored)
-        occupied = set(state)
-        for idx, u in enumerate(state):
-            rest = occupied - {u}
-            for v in g.adj[u]:
-                if v in occupied or any(w in rest for w in g.adj[v]):
-                    continue
-                nxt = state[:idx] + (v,) + state[idx + 1 :]
-                if nxt in parent:
-                    continue
-                parent[nxt] = (state, Move(u, v))
-                if nxt == goal_tuple:
-                    moves: list[Move] = []
-                    cur: tuple[int, ...] | None = nxt
-                    while parent[cur] is not None:
-                        prev, mv = parent[cur]  # type: ignore[misc]
-                        moves.append(mv)
-                        cur = prev
-                    moves.reverse()
-                    return OracleResult(
-                        "REACHABLE",
-                        dist + 1,
-                        ReconfigSequence(state_key(start_tuple), tuple(moves)),
-                        explored,
-                    )
-                queue.append((nxt, dist + 1))
-    return OracleResult("UNREACHABLE", None, None, explored)
-
-
 class SlideSpace:
     """Memoized view of one graph's slide-configuration space.
 

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 from .graphs import Move
 from .intervals import GraphClass, IntervalRepresentation
-from .results import SolveResult, SolverInputError, no_result, yes_result
+from .results import (
+    SolveResult,
+    SolverInputError,
+    check_tokens,
+    no_result,
+    yes_result,
+)
 
 
 @dataclass(frozen=True)
@@ -96,26 +102,18 @@ def _strong_twin_pairs(order, hi, lo) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _check_tokens(label: str, tokens, order, pos, hi) -> None:
-    seen = set()
-    for v in tokens:
-        if v not in pos:
-            raise SolverInputError(
-                "UNKNOWN_VERTEX", f"{label} token {v} is not a vertex", (v,)
-            )
-        if v in seen:
-            raise SolverInputError(
-                "NOT_INDEPENDENT", f"{label} lists vertex {v} twice", (v, v)
-            )
-        seen.add(v)
-    by_pos = sorted(pos[v] for v in tokens)
-    for a, b in zip(by_pos, by_pos[1:]):
-        if b <= hi[a]:
-            raise SolverInputError(
-                "NOT_INDEPENDENT",
-                f"{label} tokens touch each other",
-                (order[a - 1], order[b - 1]),
-            )
+def _touching(order, pos, hi):
+    """Adjacency test for check_tokens: two tokens touch iff the later
+    one by canonical position lies within the earlier one's reach."""
+
+    def pair(tokens) -> tuple[int, int] | None:
+        by_pos = sorted(pos[v] for v in tokens)
+        for a, b in zip(by_pos, by_pos[1:]):
+            if b <= hi[a]:
+                return order[a - 1], order[b - 1]
+        return None
+
+    return pair
 
 
 def build_string(order: tuple[int, ...], blue, red) -> ColoredString:
@@ -239,26 +237,6 @@ def _block_token_sequence(blocks, seq):
             yield from range(first, last + 1)
 
 
-def token_schedule(rep: IntervalRepresentation, blue, red):
-    """Emission order as (token index, direction) pairs; direction is
-    R or L by canonical position, C for tokens already in place."""
-    order = canonical_order(rep)
-    pos, hi, lo = _reach(rep, order)
-    s = build_string(order, blue, red)
-    blocks = partition_blocks(s, compute_heights(s))
-    seq = block_order(blocks, s)
-    bl, rd = _paired_tokens(pos, blue, red)
-    out = []
-    for t in _block_token_sequence(blocks, seq):
-        b, r = bl[t - 1], rd[t - 1]
-        if b == r:
-            direction = "C"
-        else:
-            direction = "R" if pos[r] > pos[b] else "L"
-        out.append((t, direction))
-    return tuple(out)
-
-
 def solve_proper(
     rep: IntervalRepresentation, blue, red, decide: bool = False
 ) -> SolveResult:
@@ -278,10 +256,11 @@ def solve_proper(
             "vertices with identical closed neighborhoods present",
             twins,
         )
-    _check_tokens("blue", blue, order, pos, hi)
-    _check_tokens("red", red, order, pos, hi)
-    if len(tuple(blue)) != len(tuple(red)):
-        return no_result("CARDINALITY_MISMATCH", (len(tuple(blue)), len(tuple(red))))
+    touching = _touching(order, pos, hi)
+    blue = check_tokens("blue", blue, rep.n, touching)
+    red = check_tokens("red", red, rep.n, touching)
+    if len(blue) != len(red):
+        return no_result("CARDINALITY_MISMATCH", (len(blue), len(red)))
     if decide:
         return SolveResult("YES")
     s = build_string(order, blue, red)

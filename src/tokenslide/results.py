@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from .graphs import Move
 
@@ -18,6 +19,41 @@ class SolverInputError(ValueError):
         super().__init__(message)
         self.kind = kind
         self.details = details
+
+
+def check_tokens(
+    label: str,
+    tokens: Iterable[int],
+    n: int,
+    touching: Callable[[tuple[int, ...]], tuple[int, int] | None],
+) -> tuple[int, ...]:
+    """Read one token set into a tuple and check it against vertices 1..n.
+
+    Raises UNKNOWN_VERTEX for a vertex outside 1..n, and NOT_INDEPENDENT
+    for a vertex listed twice or for two adjacent tokens.  ``touching``
+    is the graph class's own adjacency test: it gets the tuple and
+    returns a witness pair of adjacent tokens, or None.  ``label`` names
+    the set in messages and may be empty.
+    """
+    tokens = tuple(tokens)
+    who = f"{label} " if label else ""
+    seen: set[int] = set()
+    for v in tokens:
+        if not 1 <= v <= n:
+            raise SolverInputError(
+                "UNKNOWN_VERTEX", f"{who}token {v} is not a vertex", (v,)
+            )
+        if v in seen:
+            raise SolverInputError(
+                "NOT_INDEPENDENT", f"{who}lists vertex {v} twice", (v, v)
+            )
+        seen.add(v)
+    pair = touching(tokens)
+    if pair is not None:
+        raise SolverInputError(
+            "NOT_INDEPENDENT", f"{who}tokens touch each other", pair
+        )
+    return tokens
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .graphs import Move
 from .intervals import IntervalRepresentation
-from .results import SolveResult, SolverInputError, no_result
+from .results import SolveResult, SolverInputError, check_tokens, no_result
 
 
 @dataclass(frozen=True)
@@ -91,24 +91,18 @@ def tp_twin_pairs(forest: ContainmentForest) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(pairs))
 
 
-def _check_tokens(label: str, tokens, forest: ContainmentForest) -> None:
-    seen = set()
-    for v in tokens:
-        if not 1 <= v <= forest.n:
-            raise SolverInputError(
-                "UNKNOWN_VERTEX", f"{label} token {v} is not a vertex", (v,)
-            )
-        if v in seen:
-            raise SolverInputError(
-                "NOT_INDEPENDENT", f"{label} lists vertex {v} twice", (v, v)
-            )
-        seen.add(v)
-    by_tin = sorted(tokens, key=lambda v: forest.tin[v])
-    for a, b in zip(by_tin, by_tin[1:]):
-        if forest.tin[b] <= forest.tout[a]:
-            raise SolverInputError(
-                "NOT_INDEPENDENT", f"{label} tokens touch each other", (a, b)
-            )
+def _touching(forest: ContainmentForest):
+    """Adjacency test for check_tokens: in preorder, a token touches the
+    next one iff that one starts inside its subtree."""
+
+    def pair(tokens) -> tuple[int, int] | None:
+        by_tin = sorted(tokens, key=lambda v: forest.tin[v])
+        for a, b in zip(by_tin, by_tin[1:]):
+            if forest.tin[b] <= forest.tout[a]:
+                return a, b
+        return None
+
+    return pair
 
 
 def _postorder(forest: ContainmentForest) -> list[int]:
@@ -140,10 +134,9 @@ def solve_tp(
             "vertices with identical closed neighborhoods present",
             twins,
         )
-    blue = tuple(blue)
-    red = tuple(red)
-    _check_tokens("blue", blue, forest)
-    _check_tokens("red", red, forest)
+    touching = _touching(forest)
+    blue = check_tokens("blue", blue, forest.n, touching)
+    red = check_tokens("red", red, forest.n, touching)
     if len(blue) != len(red):
         return no_result("CARDINALITY_MISMATCH", (len(blue), len(red)))
 

@@ -1,0 +1,62 @@
+"""The benchmark harness in perfbench/ reaches into the package by name.
+
+Its tracer wraps the layer modules' public functions and three methods,
+and its input builder calls the generators and the instance types.  This
+smoke test runs both against the package, so removing or renaming a name
+they use fails here rather than in the benchmark.
+"""
+
+import importlib.util
+import random
+import sys
+from pathlib import Path
+
+import tokenslide
+import tokenslide.cli
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_input_builder_reaches_the_package(tmp_path):
+    inputs = load("inputs")
+    built = inputs.build(tokenslide, "sweep", 1, tmp_path)
+    assert built.cases and all(case.path.exists() for case in built.cases)
+    assert all(sw.expected > 0 for sw in built.sweeps)
+    rng = random.Random(1)
+    for inst in (
+        inputs.nesting_instance(tokenslide, 5, 2, rng),
+        inputs.comb_instance(tokenslide, 4),
+    ):
+        assert tokenslide.parse_instance(tokenslide.serialize_instance(inst)) == inst
+
+
+def test_tracer_wraps_and_restores(tmp_path, capsys):
+    spans = load("spans")
+    original = tokenslide.cli.solve_caterpillar
+    inst = tokenslide.gen_instance("caterpillar", 9, 2, seed=0)
+    path = tmp_path / "inst.txt"
+    path.write_text(tokenslide.serialize_instance(inst))
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
+    try:
+        assert tokenslide.cli.solve_caterpillar is not original
+        report = tokenslide.crosscheck("caterpillar", 4, jobs=1)
+        code = tokenslide.cli.main(["solve", "--class", "caterpillar", "--in", str(path)])
+    finally:
+        restore()
+    capsys.readouterr()
+    assert tokenslide.cli.solve_caterpillar is original
+    assert report.ok and report.checked > 0
+    assert code == 0
+    metrics = spans.layer_metrics(tracer)
+    assert metrics["caterpillar.calls"] == report.checked + 1
+    assert metrics["oracle.calls"] > 0
+    assert metrics["instances.bytes_parsed"] == len(path.read_bytes())

@@ -82,7 +82,9 @@ class TestRandom:
 class TestHarnessSelfTest:
     def test_always_no_solver_is_caught(self):
         report = crosscheck(
-            "proper", 4, solver=lambda inst: no_result("CARDINALITY_MISMATCH")
+            "proper",
+            4,
+            solver=lambda rep, g, blue, red: no_result("CARDINALITY_MISMATCH"),
         )
         assert not report.ok
         assert len(report.mismatches) > 0
@@ -91,10 +93,10 @@ class TestHarnessSelfTest:
         assert first.oracle != "NO"
 
     def test_off_by_one_count_is_caught(self):
-        def padded(inst):
+        def padded(rep, g, blue, red):
             from tokenslide.caterpillar import solve_caterpillar
 
-            res = solve_caterpillar(inst.graph, inst.blue, inst.red)
+            res = solve_caterpillar(g, blue, red)
             if res.yes and res.moves:
                 src, dst = res.moves[-1]
                 return yes_result(res.moves + ((dst, src), (src, dst)))
@@ -104,23 +106,32 @@ class TestHarnessSelfTest:
         assert not report.ok
 
     def test_invalid_sequence_is_caught(self):
-        def teleport(inst):
+        def teleport(rep, g, blue, red):
             from tokenslide.graphs import Move
 
-            if inst.blue == inst.red:
+            if blue == red:
                 return yes_result(())
-            src = next(v for v in inst.blue if v not in inst.red)
-            dst = next(v for v in inst.red if v not in inst.blue)
-            rest = [Move(b, r) for b, r in zip(inst.blue, inst.red) if b != r]
+            rest = [Move(b, r) for b, r in zip(blue, red) if b != r]
             return yes_result(rest)
 
         report = crosscheck("caterpillar", 4, solver=teleport)
         assert not report.ok
         assert any("INVALID_SEQUENCE" in m.note for m in report.mismatches)
 
+    def test_hook_runs_in_one_process(self):
+        # a local function cannot be sent to a worker process, so a hook
+        # overrides jobs
+        def hook(rep, g, blue, red):
+            return no_result("LOCK_MISMATCH")
+
+        sharded = crosscheck("caterpillar", 4, jobs=3, solver=hook)
+        assert sharded == crosscheck("caterpillar", 4, solver=hook)
+
     def test_mismatch_lines_carry_a_replayable_instance(self):
         report = crosscheck(
-            "caterpillar", 4, solver=lambda inst: no_result("LOCK_MISMATCH")
+            "caterpillar",
+            4,
+            solver=lambda rep, g, blue, red: no_result("LOCK_MISMATCH"),
         )
         line = report.mismatches[0].line()
         assert line.startswith("MISMATCH n ")

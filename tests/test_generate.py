@@ -12,7 +12,8 @@ from tokenslide.generate import (
     path_representation,
     quadratic_path_instance,
 )
-from tokenslide.graphs import Graph, find_strong_twins, recognize_caterpillar
+from tokenslide.caterpillar import _check_shape
+from tokenslide.graphs import Graph, find_strong_twins
 from tokenslide.instances import serialize_instance
 from tokenslide.intervals import GraphClass
 
@@ -56,7 +57,7 @@ def test_generated_instances_valid(cls, seed):
         assert inst.rep.classify() is GraphClass.TRIVIALLY_PERFECT
         assert find_strong_twins(g) == []
     else:
-        recognize_caterpillar(g)
+        _check_shape(g, [list(range(1, g.n + 1))])
 
 
 def test_tp_n2_infeasible():
@@ -118,7 +119,8 @@ def test_caterpillar_enumeration_all_recognized():
     for g in enumerate_caterpillar_graphs(7):
         assert g.n == 7
         assert g.m == 6
-        recognize_caterpillar(g)
+        assert g.is_connected
+        _check_shape(g, [list(range(1, g.n + 1))])
 
 
 def test_caterpillar_enumeration_non_isomorphic():
@@ -126,8 +128,8 @@ def test_caterpillar_enumeration_non_isomorphic():
     # isomorphism invariant for caterpillars
     seen = set()
     for g in enumerate_caterpillar_graphs(8):
-        cat = recognize_caterpillar(g)
-        profile = tuple(len(leaves) for leaves in cat.leaves)
+        [(_, leaves)] = _check_shape(g, [list(range(1, g.n + 1))]).values()
+        profile = tuple(len(group) for group in leaves)
         seen.add(min(profile, profile[::-1]))
     assert len(seen) == 20
 

@@ -1,0 +1,70 @@
+"""Golden determinism: generated instances and CLI `solve` output are
+byte-identical to recorded digests.
+
+The benchmark's workloads are built from these generators, so a drift
+here makes its runs incomparable across versions.  The digests were
+recorded before the solvers' shared paths were consolidated; a change
+that is meant to alter generated instances or schedules must re-record
+them and say why.
+"""
+
+import hashlib
+
+import pytest
+
+from tokenslide.cli import main
+from tokenslide.generate import GenerationError, gen_instance
+from tokenslide.instances import serialize_instance
+
+SIZES = (3, 9, 24, 300)
+TOKENS = (1, 3, 7)
+SEEDS = range(5)
+
+INSTANCE_DIGESTS = {
+    "proper": "935d8402983c9ba8ac92a2ea2dc1f844c8dfdf7bcbae779cc4233e8b5ed8f811",
+    "tp": "5e5af15f4400aa7dffd13a52e68fc22e1ce88172262ed83b21a4203c7a7f03d4",
+    "caterpillar": "55a64c49985aa6b258ad3b8b344b97517974e7f00ed2f1b2de45c0b18149a349",
+}
+
+# (class, n, k, seed) instances whose `solve --class auto` bytes are pinned;
+# random tp antichains are mostly NO, so two YES tp instances are added
+SOLVED = [
+    (cls, n, k, seed)
+    for cls in ("proper", "tp", "caterpillar")
+    for n, k, seed in ((9, 3, 0), (24, 3, 1), (24, 7, 2), (300, 7, 3))
+] + [("tp", 9, 2, 5), ("tp", 24, 3, 0)]
+
+SOLVE_DIGEST = "11c571fc45897f7d1c825769774d0642cb162454b31fed4923402d43a34c3fb4"
+
+
+def instances_digest(cls: str) -> str:
+    h = hashlib.sha256()
+    for n in SIZES:
+        for k in TOKENS:
+            for seed in SEEDS:
+                try:
+                    text = serialize_instance(gen_instance(cls, n, k, seed))
+                except GenerationError:
+                    text = f"GenerationError {n} {k} {seed}\n"
+                h.update(text.encode())
+    return h.hexdigest()
+
+
+def solve_digest(tmp_path, capsys) -> str:
+    h = hashlib.sha256()
+    for cls, n, k, seed in SOLVED:
+        path = tmp_path / f"{cls}-{n}-{k}-{seed}.txt"
+        path.write_text(serialize_instance(gen_instance(cls, n, k, seed)))
+        code = main(["solve", "--in", str(path)])
+        out = capsys.readouterr().out
+        h.update(f"{cls} {n} {k} {seed} exit={code}\n{out}".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("cls", sorted(INSTANCE_DIGESTS))
+def test_generated_instances_match_digest(cls):
+    assert instances_digest(cls) == INSTANCE_DIGESTS[cls]
+
+
+def test_cli_solve_output_matches_digest(tmp_path, capsys):
+    assert solve_digest(tmp_path, capsys) == SOLVE_DIGEST

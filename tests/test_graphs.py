@@ -4,21 +4,21 @@ import random
 
 import pytest
 
+from tokenslide.caterpillar import _check_shape, _structure, solve_caterpillar
 from tokenslide.generate import (
     enumerate_proper_representations,
     enumerate_tp_representations,
 )
 from tokenslide.graphs import (
-    CaterpillarError,
     Graph,
     Move,
     ReconfigSequence,
     ValidationResult,
     find_strong_twins,
-    recognize_caterpillar,
     validate_sequence,
 )
 from tokenslide.intervals import GraphClass, IntervalRepresentation, parse_representation
+from tokenslide.results import SolverInputError
 
 
 def path_graph(n):
@@ -248,49 +248,48 @@ def test_off_range_blue_rejected(blue):
 
 # -- caterpillar recognition -------------------------------------------------
 
+def spine_and_leaves(g):
+    return _structure(g.adj, set(range(1, g.n + 1)))
+
+
 def test_recognize_star():
-    cat = recognize_caterpillar(star_graph(3))
-    assert cat.spine == (1,)
-    assert cat.leaves == ((2, 3, 4),)
+    assert spine_and_leaves(star_graph(3)) == ((1,), ((2, 3, 4),))
 
 
 def test_recognize_bare_path_endpoints_become_leaves():
-    cat = recognize_caterpillar(path_graph(5))
-    assert cat.spine == (2, 3, 4)
-    assert cat.leaves == ((1,), (), (5,))
+    assert spine_and_leaves(path_graph(5)) == ((2, 3, 4), ((1,), (), (5,)))
 
 
 def test_recognize_orients_from_lower_end():
     g = Graph(5, [(5, 4), (4, 3), (3, 2), (2, 1)])
-    assert recognize_caterpillar(g).spine == (2, 3, 4)
+    assert spine_and_leaves(g)[0] == (2, 3, 4)
 
 
 def test_recognize_classic_caterpillar():
     g = Graph(6, [(1, 2), (2, 3), (1, 4), (2, 5), (3, 6)])
-    cat = recognize_caterpillar(g)
-    assert cat.spine == (1, 2, 3)
-    assert cat.leaves == ((4,), (5,), (6,))
-    where = cat.locate()
-    assert where[2] == (1, "S")
-    assert where[6] == (2, "L")
+    assert spine_and_leaves(g) == ((1, 2, 3), ((4,), (5,), (6,)))
 
 
 def test_recognize_rejects_spider():
     edges = [(1, 2), (2, 3), (1, 4), (4, 5), (1, 6), (6, 7)]
-    with pytest.raises(CaterpillarError) as exc:
-        recognize_caterpillar(Graph(7, edges))
+    with pytest.raises(SolverInputError) as exc:
+        solve_caterpillar(Graph(7, edges), (), ())
     assert exc.value.kind == "NOT_CATERPILLAR"
 
 
 def test_recognize_rejects_cycle_and_disconnection():
-    with pytest.raises(CaterpillarError) as exc:
-        recognize_caterpillar(Graph(3, [(1, 2), (2, 3), (3, 1)]))
+    with pytest.raises(SolverInputError) as exc:
+        solve_caterpillar(Graph(3, [(1, 2), (2, 3), (3, 1)]), (), ())
     assert exc.value.kind == "CYCLIC"
-    with pytest.raises(CaterpillarError) as exc:
-        recognize_caterpillar(Graph(4, [(1, 2), (3, 4)]))
-    assert exc.value.kind == "DISCONNECTED"
+    # a forest of caterpillars is accepted: each component is a piece
+    forest = Graph(6, [(1, 2), (2, 3), (4, 5), (5, 6)])
+    res = solve_caterpillar(forest, (1, 4), (3, 6))
+    assert res.yes and res.move_count == 4
 
 
 def test_recognize_degenerate_small():
-    assert recognize_caterpillar(Graph(1, ())).spine == ()
-    assert recognize_caterpillar(Graph(2, [(1, 2)])).spine == ()
+    # components below three vertices have no spine
+    assert _check_shape(Graph(1, ()), [[1]]) == {}
+    with pytest.raises(SolverInputError) as exc:
+        solve_caterpillar(Graph(2, [(1, 2)]), (1,), (2,))
+    assert exc.value.kind == "STRONG_TWINS"

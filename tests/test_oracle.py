@@ -1,7 +1,7 @@
 """Brute-force BFS reference behaviour, pinned on hand-checked instances."""
 
 from tokenslide.graphs import Graph, validate_sequence
-from tokenslide.oracle import SlideSpace, bfs, bfs_labeled, is_stuck, slide_neighbors
+from tokenslide.oracle import SlideSpace, bfs, is_stuck, slide_neighbors
 
 
 def path_graph(n):
@@ -83,20 +83,6 @@ def test_locked_path_stuck():
     # spine 1-2-3 with end leaves 4 and 5; tokens on leaf, middle, leaf
     g = Graph(5, [(1, 2), (2, 3), (1, 4), (3, 5)])
     assert is_stuck(g, (2, 4, 5))
-
-
-def test_labeled_bfs_matches_unlabeled_for_single_token():
-    g = path_graph(5)
-    res = bfs_labeled(g, [2], {2: 5})
-    assert res.distance == 3
-
-
-def test_labeled_bfs_swap_impossible_on_path():
-    # two tokens on a path cannot exchange relative order
-    g = path_graph(6)
-    res = bfs_labeled(g, [1, 4], {1: 6, 4: 2})
-    assert res.status == "UNREACHABLE"
-    assert bfs_labeled(g, [1, 4], {1: 2, 4: 6}).reachable
 
 
 def test_slide_space_matches_bfs():

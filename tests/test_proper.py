@@ -14,7 +14,7 @@ from tokenslide.generate import (
     path_representation,
     quadratic_path_instance,
 )
-from tokenslide.graphs import Graph, find_strong_twins, validate_sequence
+from tokenslide.graphs import Graph, Move, find_strong_twins, validate_sequence
 from tokenslide.intervals import parse_representation
 from tokenslide.oracle import SlideSpace, bfs
 from tokenslide.proper import (
@@ -25,7 +25,6 @@ from tokenslide.proper import (
     partition_blocks,
     solve_proper,
     token_path,
-    token_schedule,
 )
 from tokenslide.results import SolverInputError
 
@@ -186,8 +185,9 @@ class TestTokenPath:
 
 class TestSchedule:
     def test_wide_example(self):
-        sched = token_schedule(wide_rep(), WIDE_BLUE, WIDE_RED)
-        assert sched == (
+        # tokens in emission order with their direction; each token walks
+        # its whole path before the next one starts
+        emission = (
             (3, "R"),
             (2, "R"),
             (1, "R"),
@@ -198,14 +198,23 @@ class TestSchedule:
             (8, "L"),
             (9, "R"),
         )
+        expected = []
+        for t, direction in emission:
+            b, r = WIDE_BLUE[t - 1], WIDE_RED[t - 1]
+            step = 1 if direction == "R" else -1
+            expected.extend(Move(v, v + step) for v in range(b, r, step))
+        res = solve_proper(wide_rep(), WIDE_BLUE, WIDE_RED)
+        assert res.moves == tuple(expected)
 
     def test_identity_tokens_stay(self):
         # red-then-blue at each boundary forces right-to-left block order
-        sched = token_schedule(path_representation(5), (1, 3), (1, 3))
-        assert sched == ((2, "C"), (1, "C"))
+        rep = path_representation(5)
+        s = build_string(canonical_order(rep), (1, 3), (1, 3))
+        assert block_order(partition_blocks(s, compute_heights(s)), s) == (1, 0)
+        assert solve_proper(rep, (1, 3), (1, 3)).moves == ()
 
     def test_empty(self):
-        assert token_schedule(path_representation(3), (), ()) == ()
+        assert solve_proper(path_representation(3), (), ()).moves == ()
 
 
 class TestSolve:

@@ -1,0 +1,70 @@
+"""The token-set check shared by all solvers: token sets may arrive as
+any iterable, and each one is read exactly once."""
+
+import pytest
+
+from tokenslide.caterpillar import mark_locked, solve_caterpillar
+from tokenslide.generate import path_representation
+from tokenslide.graphs import Graph
+from tokenslide.intervals import parse_representation
+from tokenslide.proper import solve_proper
+from tokenslide.results import SolverInputError
+from tokenslide.trivially_perfect import solve_tp
+
+P6 = path_representation(6)
+P6_GRAPH = Graph.from_representation(P6)
+# interval 1 holds 2, 3 and 4: the star K_{1,3}
+STAR = parse_representation("L1 L2 R2 L3 R3 L4 R4 R1")
+# spine 1-2-3 with end leaves 4 and 5; leaf, middle, leaf is a wall
+WALL5 = Graph(5, [(1, 2), (2, 3), (1, 4), (3, 5)])
+
+CASES = [
+    (solve_proper, P6, (1, 3), (4, 6)),
+    (solve_proper, P6, (1, 2), (4, 6)),
+    (solve_proper, P6, (1, 3), (4, 7)),
+    (solve_caterpillar, P6_GRAPH, (1, 3), (4, 6)),
+    (solve_caterpillar, P6_GRAPH, (1, 2), (4, 6)),
+    (solve_caterpillar, P6_GRAPH, (1, 3), (4, 4)),
+    (solve_tp, STAR, (2, 3), (3, 4)),
+    (solve_tp, STAR, (1, 2), (3, 4)),
+    (solve_tp, STAR, (2, 3), (0, 4)),
+]
+
+
+def outcome(solver, structure, blue, red):
+    try:
+        return solver(structure, blue, red)
+    except SolverInputError as err:
+        return err.kind, str(err), err.details
+
+
+@pytest.mark.parametrize("solver, structure, blue, red", CASES)
+def test_iterators_answer_like_tuples(solver, structure, blue, red):
+    expected = outcome(solver, structure, blue, red)
+    assert outcome(solver, structure, iter(blue), iter(red)) == expected
+
+
+def test_touching_blue_is_rejected_from_an_iterator():
+    for solver, structure in ((solve_proper, P6), (solve_caterpillar, P6_GRAPH)):
+        with pytest.raises(SolverInputError) as exc:
+            solver(structure, iter([1, 2]), iter([4, 6]))
+        assert exc.value.kind == "NOT_INDEPENDENT"
+        assert exc.value.details == (1, 2)
+
+
+def test_mark_locked_reads_an_iterator():
+    assert mark_locked(WALL5, iter((2, 4, 5))) == frozenset({1, 2, 3, 4, 5})
+
+
+@pytest.mark.parametrize(
+    "tokens, kind",
+    [
+        ((2, 6), "UNKNOWN_VERTEX"),
+        ((4, 4), "NOT_INDEPENDENT"),
+        ((1, 4), "NOT_INDEPENDENT"),
+    ],
+)
+def test_mark_locked_checks_the_token_set(tokens, kind):
+    with pytest.raises(SolverInputError) as exc:
+        mark_locked(WALL5, tokens)
+    assert exc.value.kind == kind
