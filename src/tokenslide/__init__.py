@@ -1,7 +1,7 @@
 """Sliding-token reconfiguration solvers for proper interval graphs,
 trivially perfect graphs, and caterpillars, with an exact BFS oracle."""
 
-from .caterpillar import mark_locked, solve_caterpillar
+from .caterpillar import mark_locked, prepare_caterpillar, solve_caterpillar
 from .crosscheck import CrosscheckReport, Mismatch, crosscheck
 from .generate import GenerationError, gen_instance, quadratic_path_instance
 from .graphs import (
@@ -27,9 +27,9 @@ from .intervals import (
     parse_representation,
 )
 from .oracle import OracleResult, SlideSpace, bfs, is_stuck, slide_neighbors
-from .proper import solve_proper, solve_proper_components
+from .proper import prepare_proper, solve_proper, solve_proper_components
 from .results import SolveResult, SolverInputError
-from .trivially_perfect import solve_tp
+from .trivially_perfect import prepare_tp, solve_tp
 
 __all__ = [
     "CrosscheckReport",
@@ -57,6 +57,9 @@ __all__ = [
     "parse_instance",
     "parse_representation",
     "parse_sequence",
+    "prepare_caterpillar",
+    "prepare_proper",
+    "prepare_tp",
     "quadratic_path_instance",
     "serialize_instance",
     "serialize_sequence",

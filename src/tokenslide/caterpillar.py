@@ -42,7 +42,9 @@ charges for it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import Callable, Sequence
 
 from .graphs import Graph
 from .results import (
@@ -722,7 +724,7 @@ def _piece_moves(adj, cells: set[int], bset: set[int], rset: set[int],
     return _Scheduler(adj, spine, leaves, group, pairs).run()
 
 
-def _recurse(adj, comps: list[list[int]], bset: set[int], rset: set[int],
+def _recurse(adj, comps: Sequence[Sequence[int]], bset: set[int], rset: set[int],
              decide: bool, structs=None) -> list[tuple[int, int]]:
     out: list[tuple[int, int]] = []
     for comp in comps:
@@ -732,23 +734,48 @@ def _recurse(adj, comps: list[list[int]], bset: set[int], rset: set[int],
     return out
 
 
-def solve_caterpillar(g: Graph, blue, red, decide: bool = False) -> SolveResult:
+@dataclass(frozen=True, slots=True)
+class PreparedCaterpillar:
+    """Per-graph analysis shared by every token pair: the graph, its
+    components sorted by smallest vertex, each component's spine and
+    groups keyed by smallest vertex, and the token adjacency test."""
+
+    graph: Graph
+    comps: tuple[tuple[int, ...], ...]
+    structs: dict[int, tuple]
+    touching: Callable[[tuple[int, ...]], tuple[int, int] | None]
+
+
+def prepare_caterpillar(g: Graph) -> PreparedCaterpillar:
+    """Analyse the graph once; raises the structural SolverInputError
+    (CYCLIC, STRONG_TWINS, NOT_CATERPILLAR) that solve_caterpillar would."""
+    comps = sorted(sorted(c) for c in g.components())
+    structs = _check_shape(g, comps)
+    return PreparedCaterpillar(
+        g, tuple(map(tuple, comps)), structs, _touching(g.adj)
+    )
+
+
+def solve_caterpillar(
+    g: Graph | PreparedCaterpillar, blue, red, decide: bool = False
+) -> SolveResult:
     """Shortest slide sequence moving ``blue`` onto ``red`` in a
     caterpillar forest, or a NO answer with reason and witness.
 
     With ``decide=True`` only the YES/NO answer is computed and
-    ``moves`` is None.
+    ``moves`` is None.  ``g`` may be the graph or its
+    ``prepare_caterpillar`` value.
     """
-    comps = [sorted(c) for c in g.components()]
-    comps.sort(key=lambda c: c[0])
-    structs = _check_shape(g, comps)
-    touching = _touching(g.adj)
-    blue = check_tokens("blue", blue, g.n, touching)
-    red = check_tokens("red", red, g.n, touching)
+    p = g if isinstance(g, PreparedCaterpillar) else prepare_caterpillar(g)
+    n = p.graph.n
+    blue = check_tokens("blue", blue, n, p.touching)
+    red = check_tokens("red", red, n, p.touching)
     if len(blue) != len(red):
         return no_result("CARDINALITY_MISMATCH", (len(blue), len(red)))
     try:
-        moves = _recurse(g.adj, comps, set(blue), set(red), decide, structs)
+        moves = _recurse(
+            p.graph.adj, p.comps, set(blue), set(red), decide, p.structs
+        )
     except _Unreachable as answer:
         return no_result(answer.reason, answer.witness)
     if decide:

@@ -4,7 +4,13 @@ Every instance is answered twice: once by the class solver and once by
 breadth-first search over the slide-configuration space.  Decisions must
 agree, move counts must agree on YES, and every emitted sequence must
 replay cleanly.  Each disagreement is reported with a replayable inline
-serialization of the offending instance.
+serialization of the offending instance; a solver that raises anything
+other than SolverInputError is reported the same way, as a CRASH line,
+and the sweep goes on.
+
+Each graph is analysed once (``prepare_proper``, ``prepare_tp`` or
+``prepare_caterpillar``) and every token pair on it is solved against
+that prepared value, through the public ``solve_*`` function.
 
 Two sweep shapes are supported: exhaustive (every canonical graph of the
 class up to a vertex bound, every independent-set pair up to a token
@@ -17,11 +23,13 @@ any worker count.
 from __future__ import annotations
 
 import random
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from pathlib import Path
+from typing import Any, Callable, Iterator
 
-from .caterpillar import solve_caterpillar
+from .caterpillar import prepare_caterpillar, solve_caterpillar
 from .generate import (
     GenerationError,
     enumerate_caterpillar_graphs,
@@ -34,16 +42,14 @@ from .graphs import Graph, find_strong_twins, validate_sequence
 from .instances import Instance, serialize_instance
 from .intervals import IntervalRepresentation
 from .oracle import DEFAULT_STATE_CAP, SlideSpace, bfs
-from .proper import solve_proper
+from .proper import prepare_proper, solve_proper
 from .results import SolveResult, SolverInputError
-from .trivially_perfect import solve_tp
+from .trivially_perfect import prepare_tp, solve_tp
 
 CLASSES = ("proper", "tp", "caterpillar")
 
-Solver = Callable[
-    [IntervalRepresentation | None, Graph, tuple[int, ...], tuple[int, ...]],
-    SolveResult,
-]
+Solver = Callable[[Any, Graph, tuple[int, ...], tuple[int, ...]], SolveResult]
+Prepare = Callable[[IntervalRepresentation | None, Graph], Any]
 
 
 @dataclass(frozen=True)
@@ -85,33 +91,57 @@ def _make_instance(
     return Instance(g.n, rep, edges, tuple(blue), tuple(red))
 
 
-# the default solvers are top-level so that worker processes can unpickle them
-def _proper(rep, g: Graph, blue, red) -> SolveResult:
-    return solve_proper(rep, blue, red)
+# the defaults are top-level so that worker processes can unpickle them;
+# each solver gets the value its paired prepare made from the graph
+def _prepare_proper(rep, g: Graph):
+    return prepare_proper(rep)
 
 
-def _tp(rep, g: Graph, blue, red) -> SolveResult:
-    return solve_tp(rep, blue, red)
+def _prepare_tp(rep, g: Graph):
+    return prepare_tp(rep)
 
 
-def _caterpillar(rep, g: Graph, blue, red) -> SolveResult:
-    return solve_caterpillar(g, blue, red)
+def _prepare_caterpillar(rep, g: Graph):
+    return prepare_caterpillar(g)
 
 
-_DEFAULT_SOLVERS: dict[str, Solver] = {
-    "proper": _proper,
-    "tp": _tp,
-    "caterpillar": _caterpillar,
+def _unprepared(rep, g: Graph):
+    return rep
+
+
+def _proper(prepared, g: Graph, blue, red) -> SolveResult:
+    return solve_proper(prepared, blue, red)
+
+
+def _tp(prepared, g: Graph, blue, red) -> SolveResult:
+    return solve_tp(prepared, blue, red)
+
+
+def _caterpillar(prepared, g: Graph, blue, red) -> SolveResult:
+    return solve_caterpillar(prepared, blue, red)
+
+
+_DEFAULTS: dict[str, tuple[Prepare, Solver]] = {
+    "proper": (_prepare_proper, _proper),
+    "tp": (_prepare_tp, _tp),
+    "caterpillar": (_prepare_caterpillar, _caterpillar),
 }
 
 
-def _answer(
-    solver: Solver, rep, g: Graph, blue, red
-) -> SolveResult | SolverInputError:
+def _attempt(fn: Callable, *args) -> Any:
+    """Call ``fn``; an exception it raises is returned as the outcome, so
+    one failing graph or pair never ends the sweep."""
     try:
-        return solver(rep, g, blue, red)
-    except SolverInputError as err:
+        return fn(*args)
+    except Exception as err:
         return err
+
+
+def _outcome(solver: Solver, prepared, g: Graph, blue, red) -> Any:
+    # a graph whose prepare failed gives every one of its pairs that error
+    if isinstance(prepared, Exception):
+        return prepared
+    return _attempt(solver, prepared, g, blue, red)
 
 
 def _judge(
@@ -119,6 +149,7 @@ def _judge(
 ) -> tuple[str, str, str] | None:
     """Compare one solver outcome against one oracle distance.
 
+    ``outcome`` is a SolveResult or the exception the solver raised.
     ``dist`` is the shortest slide distance, None for unreachable, or
     the string "CAP" when the search gave up.  Returns None when the two
     agree, otherwise (solver text, oracle text, note).
@@ -131,6 +162,12 @@ def _judge(
         oracle_s = str(dist)
     if isinstance(outcome, SolverInputError):
         return f"ERROR:{outcome.kind}", oracle_s, "solver rejected the instance"
+    if isinstance(outcome, Exception):
+        # the message and the line that raised, kept on one line
+        where = traceback.extract_tb(outcome.__traceback__)[-1]
+        note = f"{outcome} at {Path(where.filename).name}:{where.lineno}"
+        note = " ".join(note.split())
+        return f"CRASH:{type(outcome).__name__}", oracle_s, note
     res: SolveResult = outcome
     solver_s = str(res.move_count) if res.yes else "NO"
     if dist == "CAP":
@@ -178,6 +215,7 @@ def _exhaustive_shard(
     k_max: int,
     shard: int,
     nshards: int,
+    prepare: Prepare,
     solver: Solver,
 ) -> tuple[int, list[tuple[int, str, str, str, str]]]:
     checked = 0
@@ -192,10 +230,11 @@ def _exhaustive_shard(
             serial += total
             continue
         space = SlideSpace(g)
+        prepared = _attempt(prepare, rep, g)
         for sets in setlists:
             for blue in sets:
                 for red in sets:
-                    outcome = _answer(solver, rep, g, blue, red)
+                    outcome = _outcome(solver, prepared, g, blue, red)
                     verdict = _judge(g, blue, red, outcome, space.distance(blue, red))
                     if verdict is not None:
                         inst = _make_instance(rep, g, blue, red)
@@ -236,6 +275,7 @@ def _random_shard(
     cap: int,
     shard: int,
     nshards: int,
+    prepare: Prepare,
     solver: Solver,
 ) -> tuple[int, list[tuple[int, str, str, str, str]]]:
     checked = 0
@@ -249,7 +289,8 @@ def _random_shard(
         if inst is None:
             continue
         g = inst.graph
-        outcome = _answer(solver, inst.rep, g, inst.blue, inst.red)
+        prepared = _attempt(prepare, inst.rep, g)
+        outcome = _outcome(solver, prepared, g, inst.blue, inst.red)
         oracle = bfs(g, inst.blue, inst.red, cap)
         dist: int | str | None
         dist = "CAP" if oracle.status == "CAP_EXCEEDED" else oracle.distance
@@ -274,28 +315,37 @@ def crosscheck(
 
     ``count=None`` checks every canonical graph with at most ``n_max``
     vertices over all independent-set pairs of equal size up to
-    ``k_max``; a number checks that many seeded random instances.
+    ``k_max``; a number checks that many seeded random instances.  The
+    class solver prepares each graph once and solves all of its pairs
+    against the prepared value.  A solver exception other than
+    SolverInputError becomes a ``CRASH:<type>`` mismatch for its pair
+    (for every pair of the graph when preparing raised), and the count
+    of checked pairs stays complete.
 
     The ``solver`` hook substitutes the answering function, which proves
     the harness catches a corrupted solver.  It is called as
     ``solver(rep, g, blue, red)``: ``rep`` is the interval representation
     (None for caterpillars), ``g`` the graph, and ``blue`` and ``red``
-    are vertex tuples.  It returns a SolveResult or raises
-    SolverInputError, and it forces a single process.
+    are vertex tuples.  It returns a SolveResult or raises, and it forces
+    a single process.
     """
     if cls not in CLASSES:
         raise ValueError(f"unknown class {cls!r}, expected one of {CLASSES}")
     if solver is None:
-        solver = _DEFAULT_SOLVERS[cls]
+        prepare, solver = _DEFAULTS[cls]
         jobs = max(1, jobs)
     else:
+        prepare = _unprepared
         jobs = 1
     if count is None:
-        args = [(cls, n_max, k_max, shard, jobs, solver) for shard in range(jobs)]
+        args = [
+            (cls, n_max, k_max, shard, jobs, prepare, solver)
+            for shard in range(jobs)
+        ]
         work = _exhaustive_shard
     else:
         args = [
-            (cls, n_max, count, seed, k_max, cap, shard, jobs, solver)
+            (cls, n_max, count, seed, k_max, cap, shard, jobs, prepare, solver)
             for shard in range(jobs)
         ]
         work = _random_shard

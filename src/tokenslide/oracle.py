@@ -31,7 +31,7 @@ def slide_neighbors(g: Graph, state: StateKey) -> list[tuple[StateKey, Move]]:
         for v in g.adj[u]:
             if v in occupied:
                 continue
-            if any(w in rest for w in g.adj[v]):
+            if not rest.isdisjoint(g.adj[v]):
                 continue
             out.append((tuple(sorted(rest | {v})), Move(u, v)))
     return out

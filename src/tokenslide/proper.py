@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import Callable
 
 from .graphs import Move
 from .intervals import GraphClass, IntervalRepresentation
@@ -237,16 +238,22 @@ def _block_token_sequence(blocks, seq):
             yield from range(first, last + 1)
 
 
-def solve_proper(
-    rep: IntervalRepresentation, blue, red, decide: bool = False
-) -> SolveResult:
-    """Minimum-length slide schedule moving blue onto red.
+@dataclass(frozen=True, slots=True)
+class PreparedProper:
+    """Per-graph analysis shared by every token pair: canonical order,
+    positions, neighborhood bounds and the token adjacency test."""
 
-    Connected twin-free proper interval graphs always admit one when the
-    two sets have equal size, and every emitted schedule has exactly the
-    summed pairwise shortest-path length.  With ``decide`` the answer
-    comes without a schedule, skipping the quadratic move expansion.
-    """
+    n: int
+    order: tuple[int, ...]
+    pos: dict[int, int]
+    hi: list[int]
+    lo: list[int]
+    touching: Callable[[tuple[int, ...]], tuple[int, int] | None]
+
+
+def prepare_proper(rep: IntervalRepresentation) -> PreparedProper:
+    """Analyse the graph once; raises the structural SolverInputError
+    (NOT_PROPER, DISCONNECTED, STRONG_TWINS) that solve_proper would."""
     order = canonical_order(rep)
     pos, hi, lo = _reach(rep, order)
     twins = _strong_twin_pairs(order, hi, lo)
@@ -256,20 +263,34 @@ def solve_proper(
             "vertices with identical closed neighborhoods present",
             twins,
         )
-    touching = _touching(order, pos, hi)
-    blue = check_tokens("blue", blue, rep.n, touching)
-    red = check_tokens("red", red, rep.n, touching)
+    return PreparedProper(rep.n, order, pos, hi, lo, _touching(order, pos, hi))
+
+
+def solve_proper(
+    rep: IntervalRepresentation | PreparedProper, blue, red, decide: bool = False
+) -> SolveResult:
+    """Minimum-length slide schedule moving blue onto red.
+
+    Connected twin-free proper interval graphs always admit one when the
+    two sets have equal size, and every emitted schedule has exactly the
+    summed pairwise shortest-path length.  With ``decide`` the answer
+    comes without a schedule, skipping the quadratic move expansion.
+    ``rep`` may be the representation or its ``prepare_proper`` value.
+    """
+    p = rep if isinstance(rep, PreparedProper) else prepare_proper(rep)
+    blue = check_tokens("blue", blue, p.n, p.touching)
+    red = check_tokens("red", red, p.n, p.touching)
     if len(blue) != len(red):
         return no_result("CARDINALITY_MISMATCH", (len(blue), len(red)))
     if decide:
         return SolveResult("YES")
-    s = build_string(order, blue, red)
+    s = build_string(p.order, blue, red)
     blocks = partition_blocks(s, compute_heights(s))
     seq = block_order(blocks, s)
-    bl, rd = _paired_tokens(pos, blue, red)
+    bl, rd = _paired_tokens(p.pos, blue, red)
     moves: list[Move] = []
     for t in _block_token_sequence(blocks, seq):
-        path = _walk(pos, hi, lo, order, bl[t - 1], rd[t - 1])
+        path = _walk(p.pos, p.hi, p.lo, p.order, bl[t - 1], rd[t - 1])
         moves.extend(Move(a, b) for a, b in zip(path, path[1:]))
     return yes_result(moves)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import Callable
 
 from .graphs import Move
 from .intervals import IntervalRepresentation
@@ -120,12 +121,19 @@ def _postorder(forest: ContainmentForest) -> list[int]:
     return order
 
 
-def solve_tp(
-    rep: IntervalRepresentation, blue, red, decide: bool = False
-) -> SolveResult:
-    """Decide reachability and, unless ``decide`` is set, emit a shortest
-    schedule.  Each pair costs at most two moves (through its meeting
-    node), so YES schedules never exceed twice the token count."""
+@dataclass(frozen=True, slots=True)
+class PreparedTP:
+    """Per-graph analysis shared by every token pair: the containment
+    forest, the token adjacency test and the forest's postorder."""
+
+    forest: ContainmentForest
+    touching: Callable[[tuple[int, ...]], tuple[int, int] | None]
+    postorder: tuple[int, ...]
+
+
+def prepare_tp(rep: IntervalRepresentation) -> PreparedTP:
+    """Analyse the graph once; raises the structural SolverInputError
+    (NOT_TRIVIALLY_PERFECT, STRONG_TWINS) that solve_tp would."""
     forest = containment_forest(rep)
     twins = tp_twin_pairs(forest)
     if twins:
@@ -134,9 +142,20 @@ def solve_tp(
             "vertices with identical closed neighborhoods present",
             twins,
         )
-    touching = _touching(forest)
-    blue = check_tokens("blue", blue, forest.n, touching)
-    red = check_tokens("red", red, forest.n, touching)
+    return PreparedTP(forest, _touching(forest), tuple(_postorder(forest)))
+
+
+def solve_tp(
+    rep: IntervalRepresentation | PreparedTP, blue, red, decide: bool = False
+) -> SolveResult:
+    """Decide reachability and, unless ``decide`` is set, emit a shortest
+    schedule.  Each pair costs at most two moves (through its meeting
+    node), so YES schedules never exceed twice the token count.  ``rep``
+    may be the representation or its ``prepare_tp`` value."""
+    p = rep if isinstance(rep, PreparedTP) else prepare_tp(rep)
+    forest = p.forest
+    blue = check_tokens("blue", blue, forest.n, p.touching)
+    red = check_tokens("red", red, forest.n, p.touching)
     if len(blue) != len(red):
         return no_result("CARDINALITY_MISMATCH", (len(blue), len(red)))
 
@@ -155,7 +174,7 @@ def solve_tp(
     # G balanced subtree with settled tokens inside
     state: list[tuple[str, int]] = [("E", 0)] * (forest.n + 1)
     pairs: list[tuple[int, int, int]] = []
-    for v in _postorder(forest):
+    for v in p.postorder:
         blues: list[int] = []
         reds: list[int] = []
         greens = 0

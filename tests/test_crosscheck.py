@@ -1,5 +1,7 @@
 """Solver-versus-search sweep harness."""
 
+import importlib
+
 from tokenslide.crosscheck import CrosscheckReport, Mismatch, crosscheck
 from tokenslide.generate import (
     enumerate_caterpillar_graphs,
@@ -8,6 +10,7 @@ from tokenslide.generate import (
     enumerate_tp_representations,
 )
 from tokenslide.graphs import Graph, find_strong_twins
+from tokenslide.instances import parse_instance
 from tokenslide.results import no_result, yes_result
 
 
@@ -126,6 +129,48 @@ class TestHarnessSelfTest:
 
         sharded = crosscheck("caterpillar", 4, jobs=3, solver=hook)
         assert sharded == crosscheck("caterpillar", 4, solver=hook)
+
+    def test_solver_crash_becomes_one_mismatch_line(self):
+        from tokenslide.caterpillar import solve_caterpillar
+
+        calls = []
+
+        def crashes_once(rep, g, blue, red):
+            calls.append((g.n, tuple(g.edges()), blue, red))
+            if len(calls) == 40:
+                raise AssertionError("no room to make way")
+            return solve_caterpillar(g, blue, red)
+
+        report = crosscheck("caterpillar", 5, solver=crashes_once)
+        assert report.checked == crosscheck("caterpillar", 5).checked
+        assert report.checked == len(calls)
+        (crash,) = report.mismatches
+        assert crash.solver == "CRASH:AssertionError"
+        assert crash.note.startswith("no room to make way at test_crosscheck.py:")
+        assert crash.line().startswith("MISMATCH n ")
+        inst = parse_instance(crash.instance.replace(";", "\n"))
+        n, edges, blue, red = calls[39]
+        assert (inst.n, inst.edge_list, inst.blue, inst.red) == (n, edges, blue, red)
+
+    def test_prepare_crash_marks_every_pair_of_the_graph(self, monkeypatch):
+        cc = importlib.import_module("tokenslide.crosscheck")
+        prepare = cc.prepare_tp
+        failed = []
+
+        def fails_on_one_graph(rep):
+            if rep.n == 4 and not failed:
+                failed.append(rep)
+                raise RuntimeError("boom")
+            return prepare(rep)
+
+        monkeypatch.setattr(cc, "prepare_tp", fails_on_one_graph)
+        report = crosscheck("tp", 4)
+        assert report.checked == crosscheck("tp", 4).checked
+        (rep,) = failed
+        pairs = _expected_pairs([Graph.from_representation(rep)])
+        assert len(report.mismatches) == pairs
+        assert {m.solver for m in report.mismatches} == {"CRASH:RuntimeError"}
+        assert all(m.note.startswith("boom at ") for m in report.mismatches)
 
     def test_mismatch_lines_carry_a_replayable_instance(self):
         report = crosscheck(
