@@ -27,7 +27,7 @@ from .intervals import (
     parse_representation,
 )
 from .oracle import OracleResult, SlideSpace, bfs, is_stuck, slide_neighbors
-from .proper import prepare_proper, solve_proper, solve_proper_components
+from .proper import prepare_proper, solve_proper
 from .results import SolveResult, SolverInputError
 from .trivially_perfect import prepare_tp, solve_tp
 
@@ -66,7 +66,6 @@ __all__ = [
     "slide_neighbors",
     "solve_caterpillar",
     "solve_proper",
-    "solve_proper_components",
     "solve_tp",
     "validate_sequence",
 ]

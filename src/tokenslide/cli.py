@@ -34,7 +34,7 @@ from .instances import (
 )
 from .intervals import GraphClass
 from .oracle import DEFAULT_STATE_CAP, bfs
-from .proper import solve_proper_components
+from .proper import solve_proper
 from .results import SolveResult, SolverInputError
 from .trivially_perfect import solve_tp
 
@@ -78,9 +78,8 @@ def _run_class_solver(cls: str, inst: Instance, auto: bool) -> SolveResult:
                 f"the {cls} solver needs an interval representation, "
                 "not a bare edge list",
             )
-        if cls == "proper":
-            return solve_proper_components(inst.rep, inst.blue, inst.red)
-        return solve_tp(inst.rep, inst.blue, inst.red)
+        solve = solve_proper if cls == "proper" else solve_tp
+        return solve(inst.rep, inst.blue, inst.red)
     try:
         return solve_caterpillar(inst.graph, inst.blue, inst.red)
     except SolverInputError as err:
@@ -165,8 +164,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.cls == "auto":
-        return _fail("ERROR USAGE: gen needs a concrete --class")
     try:
         inst = gen_instance(args.cls, args.n, args.k, seed=args.seed)
     except GenerationError as err:
@@ -177,8 +174,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_crosscheck(args: argparse.Namespace) -> int:
-    if args.cls == "auto":
-        return _fail("ERROR USAGE: crosscheck needs a concrete --class")
     report = crosscheck(
         args.cls,
         args.n,

@@ -10,7 +10,7 @@ and the sweep goes on.
 
 Each graph is analysed once (``prepare_proper``, ``prepare_tp`` or
 ``prepare_caterpillar``) and every token pair on it is solved against
-that prepared value, through the public ``solve_*`` function.
+that prepared value by the public ``solve_*`` function.
 
 Two sweep shapes are supported: exhaustive (every canonical graph of the
 class up to a vertex bound, every independent-set pair up to a token
@@ -48,8 +48,8 @@ from .trivially_perfect import prepare_tp, solve_tp
 
 CLASSES = ("proper", "tp", "caterpillar")
 
-Solver = Callable[[Any, Graph, tuple[int, ...], tuple[int, ...]], SolveResult]
-Prepare = Callable[[IntervalRepresentation | None, Graph], Any]
+# called as solver(structure, blue, red), like the public solve_* functions
+Solver = Callable[[Any, tuple[int, ...], tuple[int, ...]], SolveResult]
 
 
 @dataclass(frozen=True)
@@ -84,48 +84,10 @@ def _inline(inst: Instance) -> str:
     return serialize_instance(inst).strip().replace("\n", ";")
 
 
-def _make_instance(
-    rep: IntervalRepresentation | None, g: Graph, blue, red
-) -> Instance:
-    edges = None if rep is not None else tuple(g.edges())
-    return Instance(g.n, rep, edges, tuple(blue), tuple(red))
-
-
-# the defaults are top-level so that worker processes can unpickle them;
-# each solver gets the value its paired prepare made from the graph
-def _prepare_proper(rep, g: Graph):
-    return prepare_proper(rep)
-
-
-def _prepare_tp(rep, g: Graph):
-    return prepare_tp(rep)
-
-
-def _prepare_caterpillar(rep, g: Graph):
-    return prepare_caterpillar(g)
-
-
-def _unprepared(rep, g: Graph):
-    return rep
-
-
-def _proper(prepared, g: Graph, blue, red) -> SolveResult:
-    return solve_proper(prepared, blue, red)
-
-
-def _tp(prepared, g: Graph, blue, red) -> SolveResult:
-    return solve_tp(prepared, blue, red)
-
-
-def _caterpillar(prepared, g: Graph, blue, red) -> SolveResult:
-    return solve_caterpillar(prepared, blue, red)
-
-
-_DEFAULTS: dict[str, tuple[Prepare, Solver]] = {
-    "proper": (_prepare_proper, _proper),
-    "tp": (_prepare_tp, _tp),
-    "caterpillar": (_prepare_caterpillar, _caterpillar),
-}
+def _make_instance(structure, g: Graph, blue, red) -> Instance:
+    if isinstance(structure, IntervalRepresentation):
+        return Instance(g.n, structure, None, tuple(blue), tuple(red))
+    return Instance(g.n, None, tuple(g.edges()), tuple(blue), tuple(red))
 
 
 def _attempt(fn: Callable, *args) -> Any:
@@ -137,11 +99,11 @@ def _attempt(fn: Callable, *args) -> Any:
         return err
 
 
-def _outcome(solver: Solver, prepared, g: Graph, blue, red) -> Any:
+def _outcome(solver: Solver, prepared, blue, red) -> Any:
     # a graph whose prepare failed gives every one of its pairs that error
     if isinstance(prepared, Exception):
         return prepared
-    return _attempt(solver, prepared, g, blue, red)
+    return _attempt(solver, prepared, blue, red)
 
 
 def _judge(
@@ -184,10 +146,9 @@ def _judge(
     return None
 
 
-def _graph_stream(
-    cls: str, n_max: int
-) -> Iterator[tuple[IntervalRepresentation | None, Graph]]:
-    """Canonical twin-free graphs of one class, smallest first.
+def _graph_stream(cls: str, n_max: int) -> Iterator[tuple[Any, Graph]]:
+    """Canonical twin-free graphs of one class, smallest first, each as
+    (structure the class solver takes, graph).
 
     Caterpillars start at three vertices: below that there is no spine,
     and the two-vertex tree is a strong-twin pair anyway.
@@ -206,7 +167,7 @@ def _graph_stream(
     else:
         for n in range(3, n_max + 1):
             for g in enumerate_caterpillar_graphs(n):
-                yield None, g
+                yield g, g
 
 
 def _exhaustive_shard(
@@ -215,13 +176,13 @@ def _exhaustive_shard(
     k_max: int,
     shard: int,
     nshards: int,
-    prepare: Prepare,
+    prepare: Callable[[Any], Any] | None,
     solver: Solver,
 ) -> tuple[int, list[tuple[int, str, str, str, str]]]:
     checked = 0
     found: list[tuple[int, str, str, str, str]] = []
     serial = 0
-    for gi, (rep, g) in enumerate(_graph_stream(cls, n_max)):
+    for gi, (structure, g) in enumerate(_graph_stream(cls, n_max)):
         setlists = [
             list(enumerate_independent_sets(g, k)) for k in range(1, k_max + 1)
         ]
@@ -230,14 +191,15 @@ def _exhaustive_shard(
             serial += total
             continue
         space = SlideSpace(g)
-        prepared = _attempt(prepare, rep, g)
+        # a hook has no prepare step and gets the raw structure
+        prepared = structure if prepare is None else _attempt(prepare, structure)
         for sets in setlists:
             for blue in sets:
                 for red in sets:
-                    outcome = _outcome(solver, prepared, g, blue, red)
+                    outcome = _outcome(solver, prepared, blue, red)
                     verdict = _judge(g, blue, red, outcome, space.distance(blue, red))
                     if verdict is not None:
-                        inst = _make_instance(rep, g, blue, red)
+                        inst = _make_instance(structure, g, blue, red)
                         found.append((serial, _inline(inst), *verdict))
                     checked += 1
                     serial += 1
@@ -275,7 +237,7 @@ def _random_shard(
     cap: int,
     shard: int,
     nshards: int,
-    prepare: Prepare,
+    prepare: Callable[[Any], Any] | None,
     solver: Solver,
 ) -> tuple[int, list[tuple[int, str, str, str, str]]]:
     checked = 0
@@ -289,8 +251,9 @@ def _random_shard(
         if inst is None:
             continue
         g = inst.graph
-        prepared = _attempt(prepare, inst.rep, g)
-        outcome = _outcome(solver, prepared, g, inst.blue, inst.red)
+        structure = g if cls == "caterpillar" else inst.rep
+        prepared = structure if prepare is None else _attempt(prepare, structure)
+        outcome = _outcome(solver, prepared, inst.blue, inst.red)
         oracle = bfs(g, inst.blue, inst.red, cap)
         dist: int | str | None
         dist = "CAP" if oracle.status == "CAP_EXCEEDED" else oracle.distance
@@ -323,19 +286,25 @@ def crosscheck(
     of checked pairs stays complete.
 
     The ``solver`` hook substitutes the answering function, which proves
-    the harness catches a corrupted solver.  It is called as
-    ``solver(rep, g, blue, red)``: ``rep`` is the interval representation
-    (None for caterpillars), ``g`` the graph, and ``blue`` and ``red``
-    are vertex tuples.  It returns a SolveResult or raises, and it forces
-    a single process.
+    the harness catches a corrupted solver.  It takes the public solvers'
+    signature, ``solver(structure, blue, red)``: ``structure`` is the
+    IntervalRepresentation for proper and tp and the Graph for
+    caterpillar, unprepared, and ``blue`` and ``red`` are vertex tuples.
+    It returns a SolveResult or raises, and it forces a single process.
     """
     if cls not in CLASSES:
         raise ValueError(f"unknown class {cls!r}, expected one of {CLASSES}")
+    prepare: Callable[[Any], Any] | None = None
     if solver is None:
-        prepare, solver = _DEFAULTS[cls]
+        # looked up per call, so a module name rebound from outside (a test
+        # or a tracer) is what runs; public functions also pickle for jobs
+        prepare, solver = {
+            "proper": (prepare_proper, solve_proper),
+            "tp": (prepare_tp, solve_tp),
+            "caterpillar": (prepare_caterpillar, solve_caterpillar),
+        }[cls]
         jobs = max(1, jobs)
     else:
-        prepare = _unprepared
         jobs = 1
     if count is None:
         args = [

@@ -62,9 +62,6 @@ class Graph:
     def edges(self) -> tuple[tuple[int, int], ...]:
         return self._edges
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def components(self) -> list[list[int]]:
         if self._components is None:
             seen = [False] * (self.n + 1)

@@ -1,4 +1,4 @@
-"""Shortest sliding-token schedules on connected proper interval graphs.
+"""Shortest sliding-token schedules on twin-free proper interval graphs.
 
 Vertices are renumbered by left-endpoint order; each blue token is paired
 with the red target of equal rank.  Pairs are interleaved into a colored
@@ -6,11 +6,18 @@ string whose height profile (+1 blue, -1 red) cuts it into blocks at the
 zero crossings.  Tokens inside a block all travel the same way and every
 token follows its shortest path, so the schedule meets the lower bound
 of summed pairwise distances.
+
+The graph may be disconnected.  Its components are contiguous runs of
+canonical positions, and tokens never leave their component, so every
+component must hold as many blue as red tokens.  Then each component
+ends at height zero, no block spans two components, and blocks of
+different components never wait for each other.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,10 +39,6 @@ class ColoredString:
 
     entries: tuple[tuple[int, str], ...]
 
-    @property
-    def k(self) -> int:
-        return len(self.entries) // 2
-
 
 @dataclass(frozen=True)
 class Block:
@@ -45,7 +48,6 @@ class Block:
     and token indices; ``start_color`` decides the travel direction.
     """
 
-    index: int
     span: tuple[int, int]
     tokens: tuple[int, int]
     start_color: str
@@ -59,11 +61,6 @@ def canonical_order(rep: IntervalRepresentation) -> tuple[int, ...]:
         raise SolverInputError(
             "NOT_PROPER",
             "left and right endpoints close in different orders",
-        )
-    if len(rep.component_segments()) > 1:
-        raise SolverInputError(
-            "DISCONNECTED",
-            "representation splits into several components",
         )
     return tuple(rep.left_order())
 
@@ -117,18 +114,9 @@ def _touching(order, pos, hi):
     return pair
 
 
-def build_string(order: tuple[int, ...], blue, red) -> ColoredString:
-    """Interleave blue starts and red targets by canonical position."""
-    blue = tuple(blue)
-    red = tuple(red)
-    if len(blue) != len(red):
-        raise ValueError(
-            f"cardinality mismatch: {len(blue)} blue vs {len(red)} red"
-        )
-    pos = {v: i for i, v in enumerate(order, start=1)}
-    for v in (*blue, *red):
-        if v not in pos:
-            raise ValueError(f"token {v} is not a vertex of the representation")
+def build_string(pos: dict[int, int], blue, red) -> ColoredString:
+    """Interleave blue starts and red targets by canonical position;
+    ``pos`` maps each vertex to its position (``PreparedProper.pos``)."""
     keyed = sorted(
         [(pos[v], 0, v) for v in blue] + [(pos[v], 1, v) for v in red]
     )
@@ -155,7 +143,6 @@ def partition_blocks(s: ColoredString, heights) -> tuple[Block, ...]:
         if heights[i] == 0:
             blocks.append(
                 Block(
-                    index=len(blocks),
                     span=(start, i),
                     tokens=(start // 2 + 1, i // 2),
                     start_color=s.entries[start - 1][1],
@@ -165,20 +152,26 @@ def partition_blocks(s: ColoredString, heights) -> tuple[Block, ...]:
     return tuple(blocks)
 
 
-def block_order(blocks: tuple[Block, ...], s: ColoredString) -> tuple[int, ...]:
+def block_order(
+    blocks: tuple[Block, ...], s: ColoredString, component: list[int]
+) -> tuple[int, ...]:
     """Processing order of blocks.
 
     A red target followed by a blue start across a boundary means the
     right block must vacate first; the mirrored boundary forces the left
     block first.  Same-colored boundaries are free because each color is
-    an independent set.  Ties break toward the lowest block index.
+    an independent set, and so is a boundary between two components
+    (``component`` maps each vertex to its component).  Ties break
+    toward the lowest block index, so components come out left to right.
     """
     k = len(blocks)
     succs: list[list[int]] = [[] for _ in range(k)]
     indeg = [0] * k
     for i in range(k - 1):
-        left_color = s.entries[blocks[i].span[1] - 1][1]
-        right_color = s.entries[blocks[i + 1].span[0] - 1][1]
+        left, left_color = s.entries[blocks[i].span[1] - 1]
+        right, right_color = s.entries[blocks[i + 1].span[0] - 1]
+        if component[left] != component[right]:
+            continue
         if left_color == "R" and right_color == "B":
             succs[i + 1].append(i)
             indeg[i] += 1
@@ -215,16 +208,14 @@ def token_path(rep: IntervalRepresentation, frm: int, to: int) -> tuple[int, ...
 
     Each hop jumps to the farthest neighbor toward the target, which is
     optimal because neighborhoods are consecutive in canonical order.
+    A component ends at each position whose reach stops at itself.
     """
     order = canonical_order(rep)
     pos, hi, lo = _reach(rep, order)
+    a, b = sorted((pos[frm], pos[to]))
+    if any(hi[i] == i for i in range(a, b)):
+        raise ValueError(f"vertices {frm} and {to} lie in different components")
     return _walk(pos, hi, lo, order, frm, to)
-
-
-def _paired_tokens(pos, blue, red):
-    bl = sorted(blue, key=pos.__getitem__)
-    rd = sorted(red, key=pos.__getitem__)
-    return bl, rd
 
 
 def _block_token_sequence(blocks, seq):
@@ -241,7 +232,8 @@ def _block_token_sequence(blocks, seq):
 @dataclass(frozen=True, slots=True)
 class PreparedProper:
     """Per-graph analysis shared by every token pair: canonical order,
-    positions, neighborhood bounds and the token adjacency test."""
+    positions, neighborhood bounds, the token adjacency test, and the
+    components in left order with each vertex's index among them."""
 
     n: int
     order: tuple[int, ...]
@@ -249,11 +241,13 @@ class PreparedProper:
     hi: list[int]
     lo: list[int]
     touching: Callable[[tuple[int, ...]], tuple[int, int] | None]
+    segments: list[list[int]]
+    component: list[int]
 
 
 def prepare_proper(rep: IntervalRepresentation) -> PreparedProper:
     """Analyse the graph once; raises the structural SolverInputError
-    (NOT_PROPER, DISCONNECTED, STRONG_TWINS) that solve_proper would."""
+    (NOT_PROPER, STRONG_TWINS) that solve_proper would."""
     order = canonical_order(rep)
     pos, hi, lo = _reach(rep, order)
     twins = _strong_twin_pairs(order, hi, lo)
@@ -263,7 +257,14 @@ def prepare_proper(rep: IntervalRepresentation) -> PreparedProper:
             "vertices with identical closed neighborhoods present",
             twins,
         )
-    return PreparedProper(rep.n, order, pos, hi, lo, _touching(order, pos, hi))
+    segments = rep.component_segments()
+    component = [0] * (rep.n + 1)  # the first component needs no pass
+    for c, segment in enumerate(segments[1:], start=1):
+        for v in segment:
+            component[v] = c
+    return PreparedProper(
+        rep.n, order, pos, hi, lo, _touching(order, pos, hi), segments, component
+    )
 
 
 def solve_proper(
@@ -271,9 +272,11 @@ def solve_proper(
 ) -> SolveResult:
     """Minimum-length slide schedule moving blue onto red.
 
-    Connected twin-free proper interval graphs always admit one when the
-    two sets have equal size, and every emitted schedule has exactly the
-    summed pairwise shortest-path length.  With ``decide`` the answer
+    Twin-free proper interval graphs admit one exactly when every
+    component holds as many blue as red tokens; otherwise the answer is
+    NO with COMPONENT_UNBALANCED and the smallest vertex id of the first
+    such component in left order.  Every emitted schedule has exactly
+    the summed pairwise shortest-path length.  With ``decide`` the answer
     comes without a schedule, skipping the quadratic move expansion.
     ``rep`` may be the representation or its ``prepare_proper`` value.
     """
@@ -282,59 +285,24 @@ def solve_proper(
     red = check_tokens("red", red, p.n, p.touching)
     if len(blue) != len(red):
         return no_result("CARDINALITY_MISMATCH", (len(blue), len(red)))
+    if len(p.segments) > 1:
+        balance = Counter(p.component[v] for v in blue)
+        balance.subtract(p.component[v] for v in red)
+        unbalanced = [c for c, diff in balance.items() if diff]
+        if unbalanced:
+            first = p.segments[min(unbalanced)]
+            return no_result("COMPONENT_UNBALANCED", (min(first),))
     if decide:
         return SolveResult("YES")
-    s = build_string(p.order, blue, red)
+    s = build_string(p.pos, blue, red)
     blocks = partition_blocks(s, compute_heights(s))
-    seq = block_order(blocks, s)
-    bl, rd = _paired_tokens(p.pos, blue, red)
+    seq = block_order(blocks, s, p.component)
+    # each color in position order; the t-th blue pairs with the t-th red
+    bl = [v for v, color in s.entries if color == "B"]
+    rd = [v for v, color in s.entries if color == "R"]
     moves: list[Move] = []
     for t in _block_token_sequence(blocks, seq):
         path = _walk(p.pos, p.hi, p.lo, p.order, bl[t - 1], rd[t - 1])
         moves.extend(Move(a, b) for a, b in zip(path, path[1:]))
     return yes_result(moves)
 
-
-def _sub_representation(rep: IntervalRepresentation, segment):
-    """Events restricted to one component, ids remapped to 1..m in
-    left-endpoint order; returns the new-to-old id map alongside."""
-    keep = set(segment)
-    fwd: dict[int, int] = {}
-    events = []
-    for side, vid in rep.events:
-        if vid in keep:
-            if side == "L":
-                fwd[vid] = len(fwd) + 1
-            events.append((side, fwd[vid]))
-    back = {new: old for old, new in fwd.items()}
-    return IntervalRepresentation(tuple(events)), back
-
-
-def solve_proper_components(rep: IntervalRepresentation, blue, red) -> SolveResult:
-    """Like solve_proper but tolerant of disconnected representations.
-
-    Tokens cannot cross components, so each component is solved on its
-    own and the schedules are concatenated; a component holding unequal
-    numbers of blue and red tokens makes the whole instance a NO.
-    """
-    segments = rep.component_segments()
-    if len(segments) == 1:
-        return solve_proper(rep, blue, red)
-    blue = tuple(blue)
-    red = tuple(red)
-    if len(blue) != len(red):
-        return no_result("CARDINALITY_MISMATCH", (len(blue), len(red)))
-    moves: list[Move] = []
-    for segment in segments:
-        keep = set(segment)
-        sub, back = _sub_representation(rep, segment)
-        into = {old: new for new, old in back.items()}
-        b = tuple(sorted(into[v] for v in blue if v in keep))
-        r = tuple(sorted(into[v] for v in red if v in keep))
-        if len(b) != len(r):
-            return no_result("COMPONENT_UNBALANCED", (min(segment),))
-        res = solve_proper(sub, b, r)
-        if not res.yes:
-            return res
-        moves.extend(Move(back[a], back[c]) for a, c in res.moves)
-    return yes_result(moves)

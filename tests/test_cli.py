@@ -241,3 +241,12 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--class", "chordal"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["gen", "crosscheck"])
+def test_auto_class_is_a_usage_error(command, capsys):
+    # only solve resolves --class auto; the others need a concrete class
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--class", "auto", "--n", "5", "--k", "1"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'auto'" in capsys.readouterr().err

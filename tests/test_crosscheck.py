@@ -87,7 +87,7 @@ class TestHarnessSelfTest:
         report = crosscheck(
             "proper",
             4,
-            solver=lambda rep, g, blue, red: no_result("CARDINALITY_MISMATCH"),
+            solver=lambda rep, blue, red: no_result("CARDINALITY_MISMATCH"),
         )
         assert not report.ok
         assert len(report.mismatches) > 0
@@ -96,7 +96,7 @@ class TestHarnessSelfTest:
         assert first.oracle != "NO"
 
     def test_off_by_one_count_is_caught(self):
-        def padded(rep, g, blue, red):
+        def padded(g, blue, red):
             from tokenslide.caterpillar import solve_caterpillar
 
             res = solve_caterpillar(g, blue, red)
@@ -109,7 +109,7 @@ class TestHarnessSelfTest:
         assert not report.ok
 
     def test_invalid_sequence_is_caught(self):
-        def teleport(rep, g, blue, red):
+        def teleport(g, blue, red):
             from tokenslide.graphs import Move
 
             if blue == red:
@@ -124,7 +124,7 @@ class TestHarnessSelfTest:
     def test_hook_runs_in_one_process(self):
         # a local function cannot be sent to a worker process, so a hook
         # overrides jobs
-        def hook(rep, g, blue, red):
+        def hook(g, blue, red):
             return no_result("LOCK_MISMATCH")
 
         sharded = crosscheck("caterpillar", 4, jobs=3, solver=hook)
@@ -135,7 +135,7 @@ class TestHarnessSelfTest:
 
         calls = []
 
-        def crashes_once(rep, g, blue, red):
+        def crashes_once(g, blue, red):
             calls.append((g.n, tuple(g.edges()), blue, red))
             if len(calls) == 40:
                 raise AssertionError("no room to make way")
@@ -176,7 +176,7 @@ class TestHarnessSelfTest:
         report = crosscheck(
             "caterpillar",
             4,
-            solver=lambda rep, g, blue, red: no_result("LOCK_MISMATCH"),
+            solver=lambda g, blue, red: no_result("LOCK_MISMATCH"),
         )
         line = report.mismatches[0].line()
         assert line.startswith("MISMATCH n ")

@@ -3,9 +3,10 @@ byte-identical to recorded digests.
 
 The benchmark's workloads are built from these generators, so a drift
 here makes its runs incomparable across versions.  The digests were
-recorded before the solvers' shared paths were consolidated; a change
-that is meant to alter generated instances or schedules must re-record
-them and say why.
+recorded before the solvers' shared paths were consolidated, and the
+disconnected proper digest before the proper solver took forests; a
+change that is meant to alter generated instances or schedules must
+re-record them and say why.
 """
 
 import hashlib
@@ -14,7 +15,8 @@ import pytest
 
 from tokenslide.cli import main
 from tokenslide.generate import GenerationError, gen_instance
-from tokenslide.instances import serialize_instance
+from tokenslide.instances import Instance, serialize_instance
+from tokenslide.intervals import IntervalRepresentation
 
 SIZES = (3, 9, 24, 300)
 TOKENS = (1, 3, 7)
@@ -35,6 +37,19 @@ SOLVED = [
 ] + [("tp", 9, 2, 5), ("tp", 24, 3, 0)]
 
 SOLVE_DIGEST = "11c571fc45897f7d1c825769774d0642cb162454b31fed4923402d43a34c3fb4"
+
+# disconnected proper instances: generated connected ones laid side by side
+# with shifted ids; each part is (n, k, seed, tokens), where tokens says
+# which of the part's sets it contributes ("both", "blue" or "red")
+JOINED = [
+    [(9, 3, 0, "both"), (24, 3, 1, "both")],
+    [(24, 7, 2, "both"), (9, 2, 5, "both"), (12, 3, 4, "both")],
+    [(300, 7, 3, "both"), (24, 3, 1, "both")],
+    [(5, 1, 6, "both"), (40, 5, 7, "both"), (7, 2, 8, "both")],
+    [(9, 3, 0, "both"), (12, 2, 1, "blue"), (12, 2, 2, "red")],
+]
+
+JOINED_DIGEST = "d9ce67a34fc13f6ad6008810fe807000a56fb83608971ae4efe7176fca4b6950"
 
 
 def instances_digest(cls: str) -> str:
@@ -61,6 +76,31 @@ def solve_digest(tmp_path, capsys) -> str:
     return h.hexdigest()
 
 
+def joined_instance(parts) -> Instance:
+    events, blue, red, shift = [], [], [], 0
+    for n, k, seed, tokens in parts:
+        inst = gen_instance("proper", n, k, seed)
+        events += [(side, v + shift) for side, v in inst.rep.events]
+        if tokens != "red":
+            blue += [v + shift for v in inst.blue]
+        if tokens != "blue":
+            red += [v + shift for v in inst.red]
+        shift += n
+    rep = IntervalRepresentation(tuple(events))
+    return Instance(shift, rep, None, tuple(blue), tuple(red))
+
+
+def joined_digest(tmp_path, capsys) -> str:
+    h = hashlib.sha256()
+    for i, parts in enumerate(JOINED):
+        path = tmp_path / f"joined-{i}.txt"
+        path.write_text(serialize_instance(joined_instance(parts)))
+        code = main(["solve", "--class", "auto", "--in", str(path)])
+        out = capsys.readouterr().out
+        h.update(f"{parts} exit={code}\n{out}".encode())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("cls", sorted(INSTANCE_DIGESTS))
 def test_generated_instances_match_digest(cls):
     assert instances_digest(cls) == INSTANCE_DIGESTS[cls]
@@ -68,3 +108,7 @@ def test_generated_instances_match_digest(cls):
 
 def test_cli_solve_output_matches_digest(tmp_path, capsys):
     assert solve_digest(tmp_path, capsys) == SOLVE_DIGEST
+
+
+def test_cli_solve_output_on_disconnected_proper_matches_digest(tmp_path, capsys):
+    assert joined_digest(tmp_path, capsys) == JOINED_DIGEST

@@ -102,13 +102,6 @@ STRUCTURAL = [
     ),
     (
         "proper",
-        parse_representation("L1 R1 L2 R2"),
-        "DISCONNECTED",
-        "representation splits into several components",
-        (),
-    ),
-    (
-        "proper",
         parse_representation("L1 L2 L3 R1 R2 R3"),
         "STRONG_TWINS",
         "vertices with identical closed neighborhoods present",
@@ -165,6 +158,14 @@ def test_prepare_raises_the_structural_errors(cls, structure, kind, message, det
         assert info.value.kind == kind
         assert str(info.value) == message
         assert info.value.details == details
+
+
+def test_disconnected_representation_is_prepared():
+    # two isolated vertices: tokens stay in their own component
+    prepared = prepare_proper(parse_representation("L1 R1 L2 R2"))
+    assert solve_proper(prepared, (1, 2), (1, 2)).moves == ()
+    res = solve_proper(prepared, (1,), (2,))
+    assert (res.status, res.reason, res.witness) == ("NO", "COMPONENT_UNBALANCED", (1,))
 
 
 # checked pairs of the n <= 6, k <= 3 sweeps before the prepare split

@@ -15,7 +15,7 @@ from tokenslide.generate import (
     quadratic_path_instance,
 )
 from tokenslide.graphs import Graph, Move, find_strong_twins, validate_sequence
-from tokenslide.intervals import parse_representation
+from tokenslide.intervals import IntervalRepresentation, parse_representation
 from tokenslide.oracle import SlideSpace, bfs
 from tokenslide.proper import (
     block_order,
@@ -23,6 +23,7 @@ from tokenslide.proper import (
     canonical_order,
     compute_heights,
     partition_blocks,
+    prepare_proper,
     solve_proper,
     token_path,
 )
@@ -35,8 +36,27 @@ WIDE_BLUE = (2, 4, 10, 18, 22, 26, 30, 32, 34)
 WIDE_RED = (6, 8, 12, 14, 16, 20, 24, 28, 36)
 
 
+# two disjoint three-vertex paths, 1-2-3 and 4-5-6
+TWO_PATHS = "L1 L2 R1 L3 R2 R3 L4 L5 R4 L6 R5 R6"
+
+
 def wide_rep():
     return path_representation(WIDE_N)
+
+
+def positions(rep):
+    """Vertex to canonical position, as ``prepare_proper`` maps them."""
+    return {v: i for i, v in enumerate(canonical_order(rep), start=1)}
+
+
+def string_and_blocks(rep, blue, red):
+    s = build_string(positions(rep), blue, red)
+    return s, partition_blocks(s, compute_heights(s))
+
+
+def processing_order(rep, blue, red):
+    s, blocks = string_and_blocks(rep, blue, red)
+    return block_order(blocks, s, prepare_proper(rep).component)
 
 
 class TestCanonicalOrder:
@@ -57,48 +77,41 @@ class TestCanonicalOrder:
             canonical_order(rep)
         assert exc.value.kind == "NOT_PROPER"
 
-    def test_rejects_disconnected(self):
-        rep = parse_representation("L1 R1 L2 R2")
-        with pytest.raises(SolverInputError) as exc:
-            canonical_order(rep)
-        assert exc.value.kind == "DISCONNECTED"
+    def test_accepts_disconnected(self):
+        rep = parse_representation("L2 R2 L3 L1 R3 R1")
+        assert canonical_order(rep) == (2, 3, 1)
 
 
 class TestBuildString:
     def test_single_vertex_both_colors(self):
         """A vertex in both sets contributes blue before red."""
         rep = parse_representation("L1 R1")
-        s = build_string(canonical_order(rep), (1,), (1,))
+        s = build_string(positions(rep), (1,), (1,))
         assert s.entries == ((1, "B"), (1, "R"))
 
     def test_orders_by_position(self):
         rep = path_representation(4)
-        s = build_string(canonical_order(rep), (1, 3), (2, 4))
+        s = build_string(positions(rep), (1, 3), (2, 4))
         assert s.entries == ((1, "B"), (2, "R"), (3, "B"), (4, "R"))
 
     def test_relabeled_positions(self):
         rep = parse_representation("L2 L3 R2 L1 R3 R1")
-        s = build_string(canonical_order(rep), (1,), (2,))
+        s = build_string(positions(rep), (1,), (2,))
         assert s.entries == ((2, "R"), (1, "B"))
 
     def test_empty(self):
-        s = build_string(canonical_order(path_representation(3)), (), ())
+        s = build_string(positions(path_representation(3)), (), ())
         assert s.entries == ()
-
-    def test_cardinality_mismatch(self):
-        rep = path_representation(4)
-        with pytest.raises(ValueError):
-            build_string(canonical_order(rep), (1,), (2, 4))
 
 
 class TestHeights:
     def test_alternating(self):
         rep = path_representation(4)
-        s = build_string(canonical_order(rep), (1, 3), (2, 4))
+        s = build_string(positions(rep), (1, 3), (2, 4))
         assert compute_heights(s) == (0, 1, 0, 1, 0)
 
     def test_wide_example_returns_to_zero_four_times(self):
-        s = build_string(canonical_order(wide_rep()), WIDE_BLUE, WIDE_RED)
+        s = build_string(positions(wide_rep()), WIDE_BLUE, WIDE_RED)
         h = compute_heights(s)
         assert len(h) == 19
         assert h[0] == 0 and h[-1] == 0
@@ -106,51 +119,50 @@ class TestHeights:
 
     def test_red_start_goes_negative(self):
         rep = path_representation(2)
-        s = build_string(canonical_order(rep), (2,), (1,))
+        s = build_string(positions(rep), (2,), (1,))
         assert compute_heights(s) == (0, -1, 0)
 
 
 class TestBlocks:
     def test_wide_example_spans(self):
-        s = build_string(canonical_order(wide_rep()), WIDE_BLUE, WIDE_RED)
-        blocks = partition_blocks(s, compute_heights(s))
+        _, blocks = string_and_blocks(wide_rep(), WIDE_BLUE, WIDE_RED)
         assert [b.span for b in blocks] == [(1, 4), (5, 6), (7, 16), (17, 18)]
         assert [b.tokens for b in blocks] == [(1, 2), (3, 3), (4, 8), (9, 9)]
         assert [b.start_color for b in blocks] == ["B", "B", "R", "B"]
 
     def test_single_token_block(self):
-        rep = path_representation(2)
-        s = build_string(canonical_order(rep), (2,), (1,))
-        blocks = partition_blocks(s, compute_heights(s))
+        _, blocks = string_and_blocks(path_representation(2), (2,), (1,))
         assert len(blocks) == 1
         assert blocks[0].span == (1, 2)
         assert blocks[0].start_color == "R"
 
     def test_no_tokens_no_blocks(self):
-        rep = path_representation(3)
-        s = build_string(canonical_order(rep), (), ())
-        assert partition_blocks(s, compute_heights(s)) == ()
+        _, blocks = string_and_blocks(path_representation(3), (), ())
+        assert blocks == ()
 
 
 class TestBlockOrder:
     def test_wide_example(self):
         """Only the red/blue boundary between the first two runs binds."""
-        s = build_string(canonical_order(wide_rep()), WIDE_BLUE, WIDE_RED)
-        blocks = partition_blocks(s, compute_heights(s))
-        assert block_order(blocks, s) == (1, 0, 2, 3)
+        assert processing_order(wide_rep(), WIDE_BLUE, WIDE_RED) == (1, 0, 2, 3)
 
     def test_swap_on_path(self):
-        rep = path_representation(4)
-        s = build_string(canonical_order(rep), (1, 3), (2, 4))
-        blocks = partition_blocks(s, compute_heights(s))
-        assert block_order(blocks, s) == (1, 0)
+        assert processing_order(path_representation(4), (1, 3), (2, 4)) == (1, 0)
 
     def test_blue_then_red_boundary_keeps_left_first(self):
         rep = path_representation(6)
-        s = build_string(canonical_order(rep), (2, 6), (1, 4))
-        blocks = partition_blocks(s, compute_heights(s))
+        _, blocks = string_and_blocks(rep, (2, 6), (1, 4))
         assert [b.start_color for b in blocks] == ["R", "R"]
-        assert block_order(blocks, s) == (0, 1)
+        assert processing_order(rep, (2, 6), (1, 4)) == (0, 1)
+
+    def test_no_constraint_between_components(self):
+        # red 3 ends the first path's block and blue 4 starts the second
+        # path's: on one path the right block would have to go first
+        rep = parse_representation(TWO_PATHS)
+        s, blocks = string_and_blocks(rep, (1, 4), (3, 6))
+        assert [s.entries[b.span[0] - 1] for b in blocks] == [(1, "B"), (4, "B")]
+        assert s.entries[blocks[0].span[1] - 1] == (3, "R")
+        assert processing_order(rep, (1, 4), (3, 6)) == (0, 1)
 
 
 class TestTokenPath:
@@ -162,6 +174,12 @@ class TestTokenPath:
 
     def test_leftward(self):
         assert token_path(path_representation(5), 4, 2) == (4, 3, 2)
+
+    def test_across_components_rejected(self):
+        rep = parse_representation(TWO_PATHS)
+        assert token_path(rep, 6, 4) == (6, 5, 4)
+        with pytest.raises(ValueError):
+            token_path(rep, 3, 4)
 
     def test_triangle_direct_hop(self):
         rep = parse_representation("L1 L2 L3 R1 R2 R3")
@@ -209,8 +227,7 @@ class TestSchedule:
     def test_identity_tokens_stay(self):
         # red-then-blue at each boundary forces right-to-left block order
         rep = path_representation(5)
-        s = build_string(canonical_order(rep), (1, 3), (1, 3))
-        assert block_order(partition_blocks(s, compute_heights(s)), s) == (1, 0)
+        assert processing_order(rep, (1, 3), (1, 3)) == (1, 0)
         assert solve_proper(rep, (1, 3), (1, 3)).moves == ()
 
     def test_empty(self):
@@ -306,6 +323,79 @@ class TestSolveErrors:
         with pytest.raises(SolverInputError) as exc:
             solve_proper(path_representation(4), (1, 2), (3, 4))
         assert exc.value.kind == "NOT_INDEPENDENT"
+
+    def test_unknown_vertex_on_a_forest(self):
+        # the same vertex outside the graph in both sets is still rejected
+        rep = parse_representation(TWO_PATHS)
+        for decide in (False, True):
+            with pytest.raises(SolverInputError) as exc:
+                solve_proper(rep, (1, 99), (3, 99), decide)
+            assert exc.value.kind == "UNKNOWN_VERTEX"
+            assert exc.value.details == (99,)
+
+
+def _joined(a: IntervalRepresentation, b: IntervalRepresentation):
+    """``a`` and ``b`` side by side, ``b``'s ids shifted past ``a``'s."""
+    shifted = tuple((side, v + a.n) for side, v in b.events)
+    return IntervalRepresentation(a.events + shifted)
+
+
+class TestForests:
+    def test_unbalanced_component_is_no(self):
+        rep = parse_representation(TWO_PATHS)
+        res = solve_proper(rep, (1, 3), (4, 6))
+        assert (res.status, res.reason, res.witness) == ("NO", "COMPONENT_UNBALANCED", (1,))
+        # the first component is balanced, the second is not
+        rep = parse_representation(TWO_PATHS + " L7 R7")
+        res = solve_proper(rep, (1, 4), (3, 7))
+        assert (res.status, res.reason, res.witness) == ("NO", "COMPONENT_UNBALANCED", (4,))
+
+    def test_components_solved_left_to_right(self):
+        res = solve_proper(parse_representation(TWO_PATHS), (1, 4), (3, 6))
+        assert res.moves == ((1, 2), (2, 3), (4, 5), (5, 6))
+
+    def test_two_components_against_oracle(self):
+        """Every pair of twin-free connected proper graphs with at most
+        seven vertices in all, every equal-size token pair up to three:
+        the shortest schedule in full mode and the same answer in decide
+        mode, and NO exactly when a component is unbalanced."""
+        parts = [
+            rep
+            for n in range(1, 7)
+            for rep in enumerate_proper_representations(n)
+            if not find_strong_twins(Graph.from_representation(rep))
+        ]
+        yes = no = 0
+        for a in parts:
+            for b in parts:
+                if a.n + b.n > 7:
+                    continue
+                rep = _joined(a, b)
+                g = Graph.from_representation(rep)
+                space = SlideSpace(g)
+                prepared = prepare_proper(rep)
+                for k in (1, 2, 3):
+                    sets = list(enumerate_independent_sets(g, k))
+                    for blue in sets:
+                        for red in sets:
+                            full = solve_proper(prepared, blue, red)
+                            decided = solve_proper(prepared, blue, red, decide=True)
+                            case = (rep.serialize(), blue, red)
+                            assert (decided.status, decided.reason, decided.witness) == (
+                                full.status,
+                                full.reason,
+                                full.witness,
+                            ), case
+                            dist = space.distance(blue, red)
+                            if dist is None:
+                                assert full.reason == "COMPONENT_UNBALANCED", case
+                                no += 1
+                                continue
+                            assert full.yes and full.move_count == dist, case
+                            check = validate_sequence(rep, blue, red, full.moves)
+                            assert check.ok, (case, check.reason)
+                            yes += 1
+        assert yes > 1000 and no > 1000
 
 
 class TestAgainstOracle:
