@@ -26,7 +26,7 @@ from .intervals import (
     RepresentationError,
     parse_representation,
 )
-from .oracle import OracleResult, SlideSpace, bfs, is_stuck, slide_neighbors
+from .oracle import OracleResult, SlideSpace, bfs, slide_neighbors
 from .proper import prepare_proper, solve_proper
 from .results import SolveResult, SolverInputError
 from .trivially_perfect import prepare_tp, solve_tp
@@ -52,7 +52,6 @@ __all__ = [
     "crosscheck",
     "find_strong_twins",
     "gen_instance",
-    "is_stuck",
     "mark_locked",
     "parse_instance",
     "parse_representation",

@@ -44,9 +44,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Sequence
+from typing import AbstractSet, Callable, Iterable
 
-from .graphs import Graph
+from .graphs import Graph, _components
 from .results import (
     SolveResult,
     SolverInputError,
@@ -67,28 +67,11 @@ class _Unreachable(Exception):
         self.witness = witness
 
 
-def _component_cells(adj, cells: set[int]) -> list[list[int]]:
-    """Connected components of the subgraph induced on ``cells``."""
-    remaining = set(cells)
-    out: list[list[int]] = []
-    while remaining:
-        start = min(remaining)
-        comp = [start]
-        remaining.discard(start)
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w in remaining:
-                    remaining.discard(w)
-                    comp.append(w)
-                    frontier.append(w)
-        out.append(sorted(comp))
-    out.sort(key=lambda comp: comp[0])
-    return out
+# a piece's spine and the leaves of each spine cell
+_Struct = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
-def _structure(adj, cells: set[int]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+def _structure(adj, cells: AbstractSet[int]) -> _Struct:
     """Spine (in path order, smaller end first) and per-group leaf lists.
 
     ``cells`` must induce a tree with at least three vertices; raises
@@ -173,7 +156,7 @@ def _check_shape(g: Graph, comps: list[list[int]]):
     """Validate every component and hand back its spine analysis keyed
     by smallest cell, so the solve proper does not redo the work."""
     twins = []
-    structs: dict[int, tuple] = {}
+    structs: dict[int, _Struct] = {}
     for comp in comps:
         cs = set(comp)
         within = sum(1 for v in comp for w in g.adj[v] if w in cs) // 2
@@ -216,7 +199,7 @@ def mark_locked(g: Graph, tokens) -> frozenset[int]:
     of ``g``; otherwise SolverInputError is raised.
     """
     tset = set(check_tokens("", tokens, g.n, _touching(g.adj)))
-    comps = [sorted(c) for c in g.components()]
+    comps = g.components()
     structs = _check_shape(g, [c for c in comps if len(c) != 2])
     marked: set[int] = set()
     for comp in comps:
@@ -672,8 +655,8 @@ class _Scheduler:
             assert progress, "final sweep stalled"
 
 
-def _piece_moves(adj, cells: set[int], bset: set[int], rset: set[int],
-                 decide: bool, struct=None) -> list[tuple[int, int]]:
+def _piece_moves(adj, cells: AbstractSet[int], bset: set[int], rset: set[int],
+                 decide: bool, struct: _Struct | None) -> list[tuple[int, int]]:
     if len(bset) != len(rset):
         raise _Unreachable("COMPONENT_UNBALANCED", (min(cells),))
     if bset == rset:
@@ -698,8 +681,7 @@ def _piece_moves(adj, cells: set[int], bset: set[int], rset: set[int],
         for i in doomed:
             cut.add(spine[i])
             cut.update(leaves[i])
-        return _recurse(adj, _component_cells(adj, cells - cut),
-                        bset, rset, decide)
+        return _recurse(adj, _pieces(adj, cells - cut), bset, rset, decide)
 
     locked_b = _mark(spine, leaves, bset)
     locked_r = _mark(spine, leaves, rset)
@@ -709,8 +691,7 @@ def _piece_moves(adj, cells: set[int], bset: set[int], rset: set[int],
         )
     if locked_b:
         assert bset & locked_b == rset & locked_b
-        return _recurse(adj, _component_cells(adj, cells - locked_b),
-                        bset, rset, decide)
+        return _recurse(adj, _pieces(adj, cells - locked_b), bset, rset, decide)
 
     if decide:
         return []
@@ -724,36 +705,39 @@ def _piece_moves(adj, cells: set[int], bset: set[int], rset: set[int],
     return _Scheduler(adj, spine, leaves, group, pairs).run()
 
 
-def _recurse(adj, comps: Sequence[Sequence[int]], bset: set[int], rset: set[int],
-             decide: bool, structs=None) -> list[tuple[int, int]]:
+def _pieces(adj, cells: AbstractSet[int]) -> list[tuple[set[int], None]]:
+    """What is left of a piece after a cut, as pieces with no spine
+    analysis yet."""
+    return [(set(comp), None) for comp in _components(adj, cells)]
+
+
+def _recurse(adj, pieces: Iterable[tuple[AbstractSet[int], _Struct | None]],
+             bset: set[int], rset: set[int], decide: bool) -> list[tuple[int, int]]:
     out: list[tuple[int, int]] = []
-    for comp in comps:
-        cs = set(comp)
-        struct = None if structs is None else structs.get(comp[0])
-        out.extend(_piece_moves(adj, cs, bset & cs, rset & cs, decide, struct))
+    for cells, struct in pieces:
+        out.extend(_piece_moves(adj, cells, bset & cells, rset & cells, decide, struct))
     return out
 
 
 @dataclass(frozen=True, slots=True)
 class PreparedCaterpillar:
     """Per-graph analysis shared by every token pair: the graph, its
-    components sorted by smallest vertex, each component's spine and
-    groups keyed by smallest vertex, and the token adjacency test."""
+    components sorted by smallest vertex, each as its cell set and its
+    spine and groups (None below three cells), and the token adjacency
+    test."""
 
     graph: Graph
-    comps: tuple[tuple[int, ...], ...]
-    structs: dict[int, tuple]
+    pieces: tuple[tuple[frozenset[int], _Struct | None], ...]
     touching: Callable[[tuple[int, ...]], tuple[int, int] | None]
 
 
 def prepare_caterpillar(g: Graph) -> PreparedCaterpillar:
     """Analyse the graph once; raises the structural SolverInputError
     (CYCLIC, STRONG_TWINS, NOT_CATERPILLAR) that solve_caterpillar would."""
-    comps = sorted(sorted(c) for c in g.components())
+    comps = g.components()
     structs = _check_shape(g, comps)
-    return PreparedCaterpillar(
-        g, tuple(map(tuple, comps)), structs, _touching(g.adj)
-    )
+    pieces = tuple((frozenset(c), structs.get(c[0])) for c in comps)
+    return PreparedCaterpillar(g, pieces, _touching(g.adj))
 
 
 def solve_caterpillar(
@@ -773,9 +757,7 @@ def solve_caterpillar(
     if len(blue) != len(red):
         return no_result("CARDINALITY_MISMATCH", (len(blue), len(red)))
     try:
-        moves = _recurse(
-            p.graph.adj, p.comps, set(blue), set(red), decide, p.structs
-        )
+        moves = _recurse(p.graph.adj, p.pieces, set(blue), set(red), decide)
     except _Unreachable as answer:
         return no_result(answer.reason, answer.witness)
     if decide:

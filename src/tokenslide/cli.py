@@ -239,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--budget", type=int, default=DEFAULT_STATE_CAP,
-                   metavar="N", help="oracle state cap per instance")
+                   metavar="N", help="oracle state cap per search, in "
+                   "exhaustive and randomized sweeps alike")
     p.set_defaults(fn=cmd_crosscheck)
     return parser
 

@@ -14,7 +14,9 @@ that prepared value by the public ``solve_*`` function.
 
 Two sweep shapes are supported: exhaustive (every canonical graph of the
 class up to a vertex bound, every independent-set pair up to a token
-bound) and randomized (a seeded stream of generated instances).  Work is
+bound) and randomized (a seeded stream of generated instances).  Both
+run through one loop, which asks one capped ``SlideSpace`` per graph
+for the distance of every pair, so the state cap governs both.  Work is
 sharded across processes by graph; shards share nothing and the merged
 report is ordered by instance serial number, so results are identical at
 any worker count.
@@ -25,9 +27,10 @@ from __future__ import annotations
 import random
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain, product
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .caterpillar import prepare_caterpillar, solve_caterpillar
 from .generate import (
@@ -41,7 +44,7 @@ from .generate import (
 from .graphs import Graph, find_strong_twins, validate_sequence
 from .instances import Instance, serialize_instance
 from .intervals import IntervalRepresentation
-from .oracle import DEFAULT_STATE_CAP, SlideSpace, bfs
+from .oracle import CAPPED, DEFAULT_STATE_CAP, SlideSpace
 from .proper import prepare_proper, solve_proper
 from .results import SolveResult, SolverInputError
 from .trivially_perfect import prepare_tp, solve_tp
@@ -84,26 +87,11 @@ def _inline(inst: Instance) -> str:
     return serialize_instance(inst).strip().replace("\n", ";")
 
 
-def _make_instance(structure, g: Graph, blue, red) -> Instance:
+def _tokenless(structure, g: Graph) -> Instance:
+    """The graph as an instance without tokens; mismatch lines fill them in."""
     if isinstance(structure, IntervalRepresentation):
-        return Instance(g.n, structure, None, tuple(blue), tuple(red))
-    return Instance(g.n, None, tuple(g.edges()), tuple(blue), tuple(red))
-
-
-def _attempt(fn: Callable, *args) -> Any:
-    """Call ``fn``; an exception it raises is returned as the outcome, so
-    one failing graph or pair never ends the sweep."""
-    try:
-        return fn(*args)
-    except Exception as err:
-        return err
-
-
-def _outcome(solver: Solver, prepared, blue, red) -> Any:
-    # a graph whose prepare failed gives every one of its pairs that error
-    if isinstance(prepared, Exception):
-        return prepared
-    return _attempt(solver, prepared, blue, red)
+        return Instance(g.n, structure, None, (), ())
+    return Instance(g.n, None, g.edges(), (), ())
 
 
 def _judge(
@@ -112,38 +100,32 @@ def _judge(
     """Compare one solver outcome against one oracle distance.
 
     ``outcome`` is a SolveResult or the exception the solver raised.
-    ``dist`` is the shortest slide distance, None for unreachable, or
-    the string "CAP" when the search gave up.  Returns None when the two
-    agree, otherwise (solver text, oracle text, note).
+    ``dist`` is what ``SlideSpace.distance`` answered: the shortest
+    slide distance, None for unreachable, or CAPPED when the search gave
+    up.  Returns None when the two agree, otherwise (solver text, oracle
+    text, note).
     """
-    if dist == "CAP":
-        oracle_s = "CAP"
-    elif dist is None:
-        oracle_s = "NO"
-    else:
-        oracle_s = str(dist)
     if isinstance(outcome, SolverInputError):
-        return f"ERROR:{outcome.kind}", oracle_s, "solver rejected the instance"
-    if isinstance(outcome, Exception):
+        solver_s, note = f"ERROR:{outcome.kind}", "solver rejected the instance"
+    elif isinstance(outcome, Exception):
         # the message and the line that raised, kept on one line
         where = traceback.extract_tb(outcome.__traceback__)[-1]
         note = f"{outcome} at {Path(where.filename).name}:{where.lineno}"
-        note = " ".join(note.split())
-        return f"CRASH:{type(outcome).__name__}", oracle_s, note
-    res: SolveResult = outcome
-    solver_s = str(res.move_count) if res.yes else "NO"
-    if dist == "CAP":
-        return solver_s, oracle_s, "search state cap exceeded"
-    if res.yes != (dist is not None):
-        return solver_s, oracle_s, ""
-    if res.yes:
-        if res.move_count != dist:
-            return solver_s, oracle_s, ""
-        check = validate_sequence(g, blue, red, res.moves)
-        if not check.ok:
+        solver_s, note = f"CRASH:{type(outcome).__name__}", " ".join(note.split())
+    else:
+        # the strings are made only for a disagreement
+        res: SolveResult = outcome
+        if dist == CAPPED:
+            note = "search state cap exceeded"
+        elif res.yes != (dist is not None) or res.yes and res.move_count != dist:
+            note = ""
+        elif res.yes and not (check := validate_sequence(g, blue, red, res.moves)).ok:
             note = f"INVALID_SEQUENCE:{check.reason}@step{check.step}"
-            return solver_s, oracle_s, note
-    return None
+        else:
+            return None
+        solver_s = str(res.move_count) if res.yes else "NO"
+    oracle_s = CAPPED if dist == CAPPED else "NO" if dist is None else str(dist)
+    return solver_s, oracle_s, note
 
 
 def _graph_stream(cls: str, n_max: int) -> Iterator[tuple[Any, Graph]]:
@@ -170,42 +152,6 @@ def _graph_stream(cls: str, n_max: int) -> Iterator[tuple[Any, Graph]]:
                 yield g, g
 
 
-def _exhaustive_shard(
-    cls: str,
-    n_max: int,
-    k_max: int,
-    shard: int,
-    nshards: int,
-    prepare: Callable[[Any], Any] | None,
-    solver: Solver,
-) -> tuple[int, list[tuple[int, str, str, str, str]]]:
-    checked = 0
-    found: list[tuple[int, str, str, str, str]] = []
-    serial = 0
-    for gi, (structure, g) in enumerate(_graph_stream(cls, n_max)):
-        setlists = [
-            list(enumerate_independent_sets(g, k)) for k in range(1, k_max + 1)
-        ]
-        total = sum(len(s) ** 2 for s in setlists)
-        if gi % nshards != shard:
-            serial += total
-            continue
-        space = SlideSpace(g)
-        # a hook has no prepare step and gets the raw structure
-        prepared = structure if prepare is None else _attempt(prepare, structure)
-        for sets in setlists:
-            for blue in sets:
-                for red in sets:
-                    outcome = _outcome(solver, prepared, blue, red)
-                    verdict = _judge(g, blue, red, outcome, space.distance(blue, red))
-                    if verdict is not None:
-                        inst = _make_instance(structure, g, blue, red)
-                        found.append((serial, _inline(inst), *verdict))
-                    checked += 1
-                    serial += 1
-    return checked, found
-
-
 def _random_params(
     cls: str, n_max: int, count: int, seed: int, k_max: int
 ) -> list[tuple[int, int, int]]:
@@ -228,10 +174,43 @@ def _instance_from_params(cls: str, n: int, k: int, gseed: int) -> Instance | No
     return None
 
 
-def _random_shard(
+_Pairs = Iterable[tuple[tuple[int, ...], tuple[int, ...]]]
+
+
+def _cases(
+    cls: str, n_max: int, count: int | None, seed: int, k_max: int,
+    shard: int, nshards: int,
+) -> Iterator[tuple[int, Instance, Graph, _Pairs]]:
+    """One shard's graphs, each as (serial of its first pair, instance
+    carrying the graph, graph, token pairs).
+
+    Exhaustive sweeps pair every independent set with every set of its
+    size; randomized ones give each generated instance its own pair.
+    Shards split the graphs round-robin, and serials number the pairs
+    of the whole sweep, so merged reports do not depend on the sharding.
+    """
+    if count is None:
+        serial = 0
+        for gi, (structure, g) in enumerate(_graph_stream(cls, n_max)):
+            setlists = [
+                list(enumerate_independent_sets(g, k)) for k in range(1, k_max + 1)
+            ]
+            if gi % nshards == shard:
+                pairs = chain.from_iterable(product(sets, sets) for sets in setlists)
+                yield serial, _tokenless(structure, g), g, pairs
+            serial += sum(len(sets) ** 2 for sets in setlists)
+        return
+    params = _random_params(cls, n_max, count, seed, k_max)
+    for serial in range(shard, count, nshards):
+        inst = _instance_from_params(cls, *params[serial])
+        if inst is not None:
+            yield serial, inst, inst.graph, [(inst.blue, inst.red)]
+
+
+def _shard(
     cls: str,
     n_max: int,
-    count: int,
+    count: int | None,
     seed: int,
     k_max: int,
     cap: int,
@@ -242,25 +221,31 @@ def _random_shard(
 ) -> tuple[int, list[tuple[int, str, str, str, str]]]:
     checked = 0
     found: list[tuple[int, str, str, str, str]] = []
-    for serial, (n, k, gseed) in enumerate(
-        _random_params(cls, n_max, count, seed, k_max)
+    for serial, inst, g, pairs in _cases(
+        cls, n_max, count, seed, k_max, shard, nshards
     ):
-        if serial % nshards != shard:
-            continue
-        inst = _instance_from_params(cls, n, k, gseed)
-        if inst is None:
-            continue
-        g = inst.graph
-        structure = g if cls == "caterpillar" else inst.rep
-        prepared = structure if prepare is None else _attempt(prepare, structure)
-        outcome = _outcome(solver, prepared, inst.blue, inst.red)
-        oracle = bfs(g, inst.blue, inst.red, cap)
-        dist: int | str | None
-        dist = "CAP" if oracle.status == "CAP_EXCEEDED" else oracle.distance
-        verdict = _judge(g, inst.blue, inst.red, outcome, dist)
-        if verdict is not None:
-            found.append((serial, _inline(inst), *verdict))
-        checked += 1
+        structure = g if inst.rep is None else inst.rep
+        space = SlideSpace(g, cap)
+        # an exception is kept as the outcome, so one failing graph or pair
+        # never ends the sweep; a hook has no prepare step and gets the raw
+        # structure, and a graph whose prepare failed gives every one of its
+        # pairs that error
+        try:
+            prepared = structure if prepare is None else prepare(structure)
+        except Exception as err:
+            prepared = err
+        failed = isinstance(prepared, Exception)
+        for blue, red in pairs:
+            try:
+                outcome = prepared if failed else solver(prepared, blue, red)
+            except Exception as err:
+                outcome = err
+            verdict = _judge(g, blue, red, outcome, space.distance(blue, red))
+            if verdict is not None:
+                bad = replace(inst, blue=blue, red=red)
+                found.append((serial, _inline(bad), *verdict))
+            checked += 1
+            serial += 1
     return checked, found
 
 
@@ -279,8 +264,10 @@ def crosscheck(
     ``count=None`` checks every canonical graph with at most ``n_max``
     vertices over all independent-set pairs of equal size up to
     ``k_max``; a number checks that many seeded random instances.  The
-    class solver prepares each graph once and solves all of its pairs
-    against the prepared value.  A solver exception other than
+    search from each source expands at most ``cap`` states; a pair it
+    cannot settle within that reads ``oracle=CAP``.  The class solver
+    prepares each graph once and solves all of its pairs against the
+    prepared value.  A solver exception other than
     SolverInputError becomes a ``CRASH:<type>`` mismatch for its pair
     (for every pair of the graph when preparing raised), and the count
     of checked pairs stays complete.
@@ -306,23 +293,15 @@ def crosscheck(
         jobs = max(1, jobs)
     else:
         jobs = 1
-    if count is None:
-        args = [
-            (cls, n_max, k_max, shard, jobs, prepare, solver)
-            for shard in range(jobs)
-        ]
-        work = _exhaustive_shard
-    else:
-        args = [
-            (cls, n_max, count, seed, k_max, cap, shard, jobs, prepare, solver)
-            for shard in range(jobs)
-        ]
-        work = _random_shard
+    args = [
+        (cls, n_max, count, seed, k_max, cap, shard, jobs, prepare, solver)
+        for shard in range(jobs)
+    ]
     if jobs == 1:
-        parts = [work(*args[0])]
+        parts = [_shard(*args[0])]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(work, *zip(*args)))
+            parts = list(pool.map(_shard, *zip(*args)))
     checked = sum(c for c, _ in parts)
     rows = sorted(row for _, found in parts for row in found)
     return CrosscheckReport(checked, tuple(Mismatch(*row) for row in rows))

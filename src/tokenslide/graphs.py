@@ -64,23 +64,7 @@ class Graph:
 
     def components(self) -> list[list[int]]:
         if self._components is None:
-            seen = [False] * (self.n + 1)
-            comps: list[list[int]] = []
-            for start in range(1, self.n + 1):
-                if seen[start]:
-                    continue
-                seen[start] = True
-                comp = [start]
-                queue = deque([start])
-                while queue:
-                    u = queue.popleft()
-                    for w in self.adj[u]:
-                        if not seen[w]:
-                            seen[w] = True
-                            comp.append(w)
-                            queue.append(w)
-                comps.append(sorted(comp))
-            self._components = comps
+            self._components = _components(self.adj, range(1, self.n + 1))
         return self._components
 
     @property
@@ -107,6 +91,26 @@ class Graph:
 
     def distance(self, u: int, v: int) -> int:
         return self.bfs_distances(u)[v]
+
+
+def _components(adj, cells: Iterable[int]) -> list[list[int]]:
+    """Connected components of the subgraph induced on ``cells``, each
+    sorted and ordered by smallest vertex; ``adj`` is indexed by vertex."""
+    left = set(cells)
+    comps: list[list[int]] = []
+    for start in sorted(left):
+        if start not in left:
+            continue
+        left.discard(start)
+        comp = [start]
+        for v in comp:  # the list grows while it is read: a search queue
+            for w in adj[v]:
+                if w in left:
+                    left.discard(w)
+                    comp.append(w)
+        comp.sort()
+        comps.append(comp)
+    return comps
 
 
 def find_strong_twins(g: Graph) -> list[tuple[int, int]]:

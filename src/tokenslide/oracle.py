@@ -3,6 +3,12 @@
 States are canonical sorted vertex tuples.  A state's neighbors are all
 configurations reachable by sliding one token along an edge into an
 unoccupied vertex while keeping the set independent.
+
+There is one breadth-first loop, in ``SlideSpace``: it keeps one search
+per source and resumes it for each later query, stopping as soon as the
+queried target is found, the space is exhausted or the state cap is
+hit.  ``bfs`` is one such query with its path rebuilt from the distance
+map.
 """
 
 from __future__ import annotations
@@ -15,30 +21,31 @@ from .graphs import Graph, Move, ReconfigSequence
 
 DEFAULT_STATE_CAP = 10_000_000
 
+# what SlideSpace.distance answers when its search hit the cap first
+CAPPED = "CAP"
+
 StateKey = tuple[int, ...]
+# one source's search: distances in discovery order, states left to expand
+_Search = tuple[dict[StateKey, int], deque[StateKey]]
 
 
 def state_key(vertices: Iterable[int]) -> StateKey:
     return tuple(sorted(vertices))
 
 
-def slide_neighbors(g: Graph, state: StateKey) -> list[tuple[StateKey, Move]]:
-    """All states one legal slide away, with the move that reaches each."""
+def slide_neighbors(g: Graph, state: StateKey) -> list[StateKey]:
+    """All states one legal slide away."""
+    adj = g.adj
     occupied = set(state)
-    out: list[tuple[StateKey, Move]] = []
+    out: list[StateKey] = []
     for u in state:
-        rest = occupied - {u}
-        for v in g.adj[u]:
-            if v in occupied:
-                continue
-            if not rest.isdisjoint(g.adj[v]):
-                continue
-            out.append((tuple(sorted(rest | {v})), Move(u, v)))
+        # the token on u is lifted while its slides are tried
+        occupied.remove(u)
+        for v in adj[u]:
+            if v not in occupied and occupied.isdisjoint(adj[v]):
+                out.append(tuple(sorted((*occupied, v))))
+        occupied.add(u)
     return out
-
-
-def is_stuck(g: Graph, state: Iterable[int]) -> bool:
-    return not slide_neighbors(g, state_key(state))
 
 
 @dataclass(frozen=True)
@@ -51,6 +58,75 @@ class OracleResult:
     @property
     def reachable(self) -> bool:
         return self.status == "REACHABLE"
+
+
+class SlideSpace:
+    """Breadth-first search over one graph's slide configurations,
+    memoised by source.
+
+    Each source keeps its distance map, in discovery order, and its
+    queue, so a query resumes the search an earlier query on the same
+    source stopped.  A search stops once the queried target is found,
+    the space is exhausted, or ``cap`` states of that source have been
+    expanded; the expanded ones are the discovered ones not queued.
+    """
+
+    def __init__(self, g: Graph, cap: int = DEFAULT_STATE_CAP):
+        self.g = g
+        self.cap = cap
+        self._searches: dict[StateKey, _Search] = {}
+
+    def _search(self, source: StateKey, target: StateKey | None = None) -> _Search:
+        if source not in self._searches:
+            self._searches[source] = ({source: 0}, deque([source]))
+        dist, queue = self._searches[source]
+        g, cap = self.g, self.cap
+        while queue and target not in dist and len(dist) - len(queue) < cap:
+            state = queue.popleft()
+            d = dist[state] + 1
+            for nxt in slide_neighbors(g, state):
+                if nxt not in dist:
+                    dist[nxt] = d
+                    queue.append(nxt)
+        return dist, queue
+
+    def distances_from(
+        self, source: StateKey, target: StateKey | None = None
+    ) -> dict[StateKey, int]:
+        """Distances from ``source`` to every state found so far.
+
+        Without a target the search runs until the space is exhausted or
+        the cap is hit; with one it stops once the target is found.
+        """
+        return self._search(source, target)[0]
+
+    def distance(self, blue: Iterable[int], red: Iterable[int]) -> int | str | None:
+        """Shortest slide distance, None if unreachable, or CAPPED when
+        the cap was hit before either."""
+        src, dst = state_key(blue), state_key(red)
+        if dst in self._searches:
+            back, queue = self._searches[dst]
+            if src in back or not queue:
+                return back.get(src)
+        dist = self.distances_from(src, dst)
+        if dst in dist:
+            return dist[dst]
+        return CAPPED if self._searches[src][1] else None
+
+
+def _path(g: Graph, dist: dict[StateKey, int], goal: StateKey) -> tuple[Move, ...]:
+    """Slides from the search's source to ``goal``.  A state's parent, the
+    state whose expansion discovered it, is its earliest-discovered
+    neighbour one step closer to the source."""
+    order = {state: i for i, state in enumerate(dist)}
+    moves: list[Move] = []
+    while dist[goal]:
+        closer = [s for s in slide_neighbors(g, goal) if dist.get(s) == dist[goal] - 1]
+        prev = min(closer, key=order.__getitem__)
+        (src,), (dst,) = set(prev).difference(goal), set(goal).difference(prev)
+        moves.append(Move(src, dst))
+        goal = prev
+    return tuple(reversed(moves))
 
 
 def bfs(
@@ -74,71 +150,12 @@ def bfs(
         return OracleResult("UNREACHABLE", None, None, 0)
     if start == goal:
         return OracleResult("REACHABLE", 0, ReconfigSequence(start, ()), 1)
-
-    parent: dict[StateKey, tuple[StateKey, Move] | None] = {start: None}
-    queue = deque([(start, 0)])
-    explored = 0
-    while queue:
-        state, dist = queue.popleft()
-        explored += 1
-        if explored > cap:
-            return OracleResult("CAP_EXCEEDED", None, None, explored)
-        for nxt, move in slide_neighbors(g, state):
-            if nxt in parent:
-                continue
-            parent[nxt] = (state, move)
-            if nxt == goal:
-                moves: list[Move] = []
-                cur: StateKey | None = nxt
-                while parent[cur] is not None:
-                    prev, mv = parent[cur]  # type: ignore[misc]
-                    moves.append(mv)
-                    cur = prev
-                moves.reverse()
-                return OracleResult(
-                    "REACHABLE", dist + 1, ReconfigSequence(start, tuple(moves)), explored
-                )
-            queue.append((nxt, dist + 1))
-    return OracleResult("UNREACHABLE", None, None, explored)
-
-
-class SlideSpace:
-    """Memoized view of one graph's slide-configuration space.
-
-    Caches per-state neighbor lists and full distance maps per source, so
-    sweeps that query many pairs on the same graph stay cheap.
-    """
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self._neighbors: dict[StateKey, tuple[StateKey, ...]] = {}
-        self._distances: dict[StateKey, dict[StateKey, int]] = {}
-
-    def neighbors(self, state: StateKey) -> tuple[StateKey, ...]:
-        cached = self._neighbors.get(state)
-        if cached is None:
-            cached = tuple(nxt for nxt, _ in slide_neighbors(self.g, state))
-            self._neighbors[state] = cached
-        return cached
-
-    def distances_from(self, source: StateKey) -> dict[StateKey, int]:
-        cached = self._distances.get(source)
-        if cached is None:
-            cached = {source: 0}
-            queue = deque([source])
-            while queue:
-                state = queue.popleft()
-                d = cached[state] + 1
-                for nxt in self.neighbors(state):
-                    if nxt not in cached:
-                        cached[nxt] = d
-                        queue.append(nxt)
-            self._distances[source] = cached
-        return cached
-
-    def distance(self, blue: Iterable[int], red: Iterable[int]) -> int | None:
-        """Shortest slide distance, or None if unreachable."""
-        src, dst = state_key(blue), state_key(red)
-        if dst in self._distances:
-            return self._distances[dst].get(src)
-        return self.distances_from(src).get(dst)
+    dist, queue = SlideSpace(g, cap)._search(start, goal)
+    expanded = len(dist) - len(queue)
+    if goal in dist:
+        seq = ReconfigSequence(start, _path(g, dist, goal))
+        return OracleResult("REACHABLE", dist[goal], seq, expanded)
+    if queue:
+        # counts the state whose expansion would have crossed the cap
+        return OracleResult("CAP_EXCEEDED", None, None, expanded + 1)
+    return OracleResult("UNREACHABLE", None, None, expanded)

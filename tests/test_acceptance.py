@@ -23,9 +23,14 @@ from tokenslide.generate import (
     quadratic_path_instance,
 )
 from tokenslide.graphs import Graph, validate_sequence
-from tokenslide.oracle import bfs, is_stuck
+from tokenslide.oracle import bfs, slide_neighbors, state_key
 from tokenslide.proper import solve_proper
 from tokenslide.trivially_perfect import solve_tp
+
+
+def is_stuck(g, tokens):
+    """No legal slide leaves the token set."""
+    return not slide_neighbors(g, state_key(tokens))
 
 
 def test_random_proper_instances_all_reachable():
@@ -177,3 +182,43 @@ def test_decision_mode_runs_in_linear_time():
             best_ratio = min(best_ratio, cpu[200_000] / cpu[100_000])
         assert best_small < 1.0, (cls, best_small)
         assert best_ratio < 3.0, (cls, best_ratio)
+
+
+def test_decision_mode_stays_linear_on_many_frozen_groups():
+    """A caterpillar whose every other group is frozen falls apart into
+    one piece per free group once the frozen groups are cut out; deciding
+    it less than triples when n doubles.
+
+    The spine carries two leaves per group, every even group holds a
+    token on both of its leaves on both sides, and one token moves
+    between the two leaves of the first group.  Timed like
+    test_decision_mode_runs_in_linear_time.
+    """
+    runs = {}
+    for n in (24_000, 48_000):
+        groups = n // 3
+        edges = [(i, i + 1) for i in range(1, groups)]
+        edges += [(i, groups + 2 * i - 1) for i in range(1, groups + 1)]
+        edges += [(i, groups + 2 * i) for i in range(1, groups + 1)]
+        g = Graph(n, edges)
+        frozen = [groups + 2 * i - j for i in range(2, groups + 1, 2) for j in (0, 1)]
+        blue = [groups + 1, *frozen]
+        red = [groups + 2, *frozen]
+        res = solve_caterpillar(g, blue, red)
+        assert res.yes and res.moves == ((groups + 1, 1), (1, groups + 2)), n
+        runs[n] = lambda g=g, blue=blue, red=red: solve_caterpillar(
+            g, blue, red, decide=True
+        )
+    best_ratio = float("inf")
+    for _ in range(9):
+        cpu = {}
+        for n, fn in runs.items():
+            gc.collect()
+            gc.disable()
+            c = time.process_time()
+            res = fn()
+            cpu[n] = time.process_time() - c
+            gc.enable()
+            assert res.yes
+        best_ratio = min(best_ratio, cpu[48_000] / cpu[24_000])
+    assert best_ratio < 3.0, best_ratio

@@ -50,13 +50,17 @@ def test_tracer_wraps_and_restores(tmp_path, capsys):
         assert tokenslide.cli.solve_caterpillar is not original
         report = tokenslide.crosscheck("caterpillar", 4, jobs=1)
         code = tokenslide.cli.main(["solve", "--class", "caterpillar", "--in", str(path)])
+        metrics = spans.layer_metrics(tracer)
+        randomized = tokenslide.crosscheck("caterpillar", 12, count=20, k_max=4, jobs=1)
+        random_metrics = spans.layer_metrics(tracer)
     finally:
         restore()
     capsys.readouterr()
     assert tokenslide.cli.solve_caterpillar is original
     assert report.ok and report.checked > 0
     assert code == 0
-    metrics = spans.layer_metrics(tracer)
+    assert randomized.ok and randomized.checked == 20
+    assert random_metrics["oracle.calls"] == randomized.checked
     assert metrics["caterpillar.calls"] == report.checked + 1
     assert metrics["oracle.calls"] > 0
     assert metrics["instances.bytes_parsed"] == len(path.read_bytes())

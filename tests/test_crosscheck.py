@@ -61,6 +61,17 @@ class TestExhaustive:
         assert crosscheck("caterpillar", 6, jobs=3) == crosscheck(
             "caterpillar", 6
         )
+        assert crosscheck("caterpillar", 12, count=30, seed=5, jobs=3) == crosscheck(
+            "caterpillar", 12, count=30, seed=5
+        )
+
+    def test_state_budget_applies_to_exhaustive_sweeps(self):
+        report = crosscheck("caterpillar", 5, cap=1)
+        assert report.checked == 265
+        capped = [m for m in report.mismatches if m.oracle == "CAP"]
+        assert capped and capped == list(report.mismatches)
+        note = "oracle=CAP note=search state cap exceeded"
+        assert all(m.line().endswith(note) for m in capped)
 
 
 class TestRandom:

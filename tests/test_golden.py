@@ -1,10 +1,11 @@
-"""Golden determinism: generated instances and CLI `solve` output are
-byte-identical to recorded digests.
+"""Golden determinism: generated instances and CLI `solve` and `oracle`
+output are byte-identical to recorded digests.
 
 The benchmark's workloads are built from these generators, so a drift
 here makes its runs incomparable across versions.  The digests were
 recorded before the solvers' shared paths were consolidated, and the
-disconnected proper digest before the proper solver took forests; a
+disconnected proper digest before the proper solver took forests, and
+the oracle digest before the two breadth-first searches became one; a
 change that is meant to alter generated instances or schedules must
 re-record them and say why.
 """
@@ -50,6 +51,28 @@ JOINED = [
 ]
 
 JOINED_DIGEST = "d9ce67a34fc13f6ad6008810fe807000a56fb83608971ae4efe7176fca4b6950"
+
+# `oracle` runs: (label, instance, extra arguments); generated instances are
+# given as (class, n, k, seed), hand-made ones as instance text
+STAR = "n 4\nedges 3\n1 2\n1 3\n1 4\nblue 2 3\nred 3 4\n"
+ORACLE_CASES = [
+    ("proper yes", ("proper", 10, 2, 2), []),
+    ("proper yes", ("proper", 24, 3, 0), []),
+    ("tp yes", ("tp", 9, 2, 5), []),
+    ("tp yes", ("tp", 24, 3, 0), []),
+    ("caterpillar yes", ("caterpillar", 9, 2, 5), []),
+    ("caterpillar yes", ("caterpillar", 24, 3, 0), []),
+    ("tp unreachable", ("tp", 8, 2, 3), []),
+    ("star unreachable", STAR, []),
+    ("budget", ("caterpillar", 24, 3, 0), ["--budget", "2"]),
+    ("budget", ("proper", 24, 3, 0), ["--budget", "2"]),
+    ("budget", STAR, ["--budget", "0"]),
+    ("exhausted at budget", STAR, ["--budget", "1"]),
+    ("start is goal", ("caterpillar", 9, 3, 0, "blue"), []),
+    ("cardinality", "n 5\nrep L1 L2 R1 L3 R2 L4 R3 L5 R4 R5\nblue 1\nred 3 5\n", []),
+]
+
+ORACLE_DIGEST = "eb0d0d4e3acc0eccb68df311a275319a8fd515bd405bbb6031e73dfec4ac84f8"
 
 
 def instances_digest(cls: str) -> str:
@@ -101,6 +124,24 @@ def joined_digest(tmp_path, capsys) -> str:
     return h.hexdigest()
 
 
+def oracle_digest(tmp_path, capsys) -> str:
+    h = hashlib.sha256()
+    for i, (label, source, extra) in enumerate(ORACLE_CASES):
+        if isinstance(source, str):
+            text = source
+        else:
+            inst = gen_instance(*source[:4])
+            if source[4:] == ("blue",):
+                inst = Instance(inst.n, inst.rep, inst.edge_list, inst.blue, inst.blue)
+            text = serialize_instance(inst)
+        path = tmp_path / f"oracle-{i}.txt"
+        path.write_text(text)
+        code = main(["oracle", "--in", str(path), *extra])
+        out = capsys.readouterr().out
+        h.update(f"{label} {source} {extra} exit={code}\n{out}".encode())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("cls", sorted(INSTANCE_DIGESTS))
 def test_generated_instances_match_digest(cls):
     assert instances_digest(cls) == INSTANCE_DIGESTS[cls]
@@ -112,3 +153,7 @@ def test_cli_solve_output_matches_digest(tmp_path, capsys):
 
 def test_cli_solve_output_on_disconnected_proper_matches_digest(tmp_path, capsys):
     assert joined_digest(tmp_path, capsys) == JOINED_DIGEST
+
+
+def test_cli_oracle_output_matches_digest(tmp_path, capsys):
+    assert oracle_digest(tmp_path, capsys) == ORACLE_DIGEST
