@@ -26,26 +26,26 @@ and otherwise emits a move-minimal schedule:
   after cutting) needs equally many blue and red tokens
   (COMPONENT_UNBALANCED).
 
-Scheduling then mirrors the proper-interval solver: pair the i-th blue
-with the i-th red in group order, write blue starts and red targets
-into one string sorted by group, split it into blocks where the
-start/target balance returns to zero, and order the blocks so that a
-block settling tokens next to another block's territory runs at the
-right time.  Tokens inside a rightward block move rightmost-first,
-leftward blocks leftmost-first.  One ingredient has no proper-interval
-counterpart: a traveler may find a standing token next to its route
-and must make way for itself, parking the bystander on a leaf (or
-pushing it down the spine) and letting it return afterwards.  Each
-such detour costs exactly the two extra moves the distance bound
-charges for it.
+Scheduling runs on the block layer of ``blocks.py``, keyed by group:
+it pairs the i-th blue with the i-th red, cuts the string of starts and
+targets into blocks and orders them across their boundaries.  This
+module adds its own constraints: borders more than one group apart are
+free, a red|red border makes whichever target sits on the spine wait,
+and blocks are ordered around standing tokens on bare spine cells.  A
+traveler may also find a standing token next to its route and must
+make way for itself, parking the bystander on a leaf (or pushing it
+down the spine) and letting it return afterwards; this has no
+proper-interval counterpart.  Each such detour costs exactly the two
+extra moves the distance bound charges for it.  Tokens inside a
+rightward block move rightmost-first, leftward blocks leftmost-first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import AbstractSet, Callable, Iterable
 
+from .blocks import BLUE, RED, block_order, boundary_edges, split_blocks, travel
 from .graphs import Graph, _components
 from .results import (
     SolveResult,
@@ -366,17 +366,15 @@ class _Scheduler:
     # -- block machinery ----------------------------------------------
 
     def run(self) -> list[tuple[int, int]]:
-        first, string = self._classify()
+        first, entries = self._classify()
         for token in first:
             self._emit(token, token.target)
-        order: list[_Token] = []
-        for block in self._block_order(self._blocks(string)):
-            entries = block["entries"]
-            members = {e[2] for e in entries}
-            if entries[0][1] == 0:
-                order.extend(sorted(members, key=lambda t: -self.group[t.start]))
-            else:
-                order.extend(sorted(members, key=lambda t: self.group[t.start]))
+        blocks = split_blocks(entries)
+        edges = _border_edges(blocks, self.spine)
+        self._standing_edges(blocks, edges)
+        # conflicting preferences make a cycle; the leftmost block then runs
+        seq, _ = block_order(len(blocks), edges)
+        order = [token for token, _ in travel(blocks, seq)]
         self.turn = {t: i for i, t in enumerate(order)}
         for i, token in enumerate(order):
             self.turn_now = i
@@ -387,9 +385,9 @@ class _Scheduler:
 
     def _classify(self):
         """Split tokens into leaf-drops moved first, string entries for
-        the block machinery, and everything handled by the sweep."""
+        the block layer, and everything handled by the sweep."""
         first: list[_Token] = []
-        string: list[tuple[int, int, _Token]] = []
+        entries: list[tuple[int, int, _Token]] = []
         for t in self.tokens:
             if t.start == t.target:
                 continue
@@ -397,80 +395,14 @@ class _Scheduler:
             if gb == gr:
                 if t.start == self.spine[gb]:
                     first.append(t)  # spine to own leaf: always legal now
-                elif t.target == self.spine[gr]:
+                    continue
+                if t.target == self.spine[gr]:
                     continue  # leaf to own spine: settled by the sweep
-                else:
-                    string.append((gb, 0, t))
-                    string.append((gr, 1, t))
-            else:
-                string.append((gb, 0, t))
-                string.append((gr, 1, t))
-        string.sort(key=lambda e: (e[0], e[1]))
-        return first, string
+            entries.append((gb, BLUE, t))
+            entries.append((gr, RED, t))
+        return first, entries
 
-    def _blocks(self, string):
-        blocks = []
-        height = 0
-        cur: list[tuple[int, int, _Token]] = []
-        for entry in string:
-            cur.append(entry)
-            height += 1 if entry[1] == 0 else -1
-            if height == 0:
-                blocks.append({"entries": cur})
-                cur = []
-        assert not cur, "piece balance was checked before scheduling"
-        return blocks
-
-    def _block_order(self, blocks):
-        k = len(blocks)
-        after = [[] for _ in range(k)]
-        indeg = [0] * k
-
-        def edge(a: int, b: int) -> None:
-            after[a].append(b)
-            indeg[b] += 1
-
-        for i in range(k - 1):
-            left, right = blocks[i]["entries"], blocks[i + 1]["entries"]
-            glx, clx, tlx = left[-1]
-            gry, cry, try_ = right[0]
-            if gry == glx:
-                assert (clx, cry) == (0, 1)
-                edge(i, i + 1)
-            elif gry == glx + 1:
-                if (clx, cry) == (1, 0):
-                    edge(i + 1, i)
-                elif (clx, cry) == (0, 1):
-                    edge(i, i + 1)
-                elif (clx, cry) == (1, 1):
-                    # both blocks settle a token at the shared border;
-                    # whichever target sits on the spine must wait
-                    if try_.target == self.spine[gry]:
-                        edge(i, i + 1)
-                    elif tlx.target == self.spine[glx]:
-                        edge(i + 1, i)
-        self._standing_edges(blocks, edge, after)
-        heap = sorted(i for i in range(k) if indeg[i] == 0)
-        done = [False] * k
-        out = []
-        while len(out) < k:
-            if not heap:
-                # conflicting preferences; take the leftmost block
-                i = min(j for j in range(k) if not done[j])
-                indeg[i] = 0
-                heap = [i]
-            i = heappop(heap)
-            if done[i]:
-                continue
-            done[i] = True
-            out.append(blocks[i])
-            for j in after[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0 and not done[j]:
-                    heappush(heap, j)
-        return out
-
-    def _standing_edges(self, blocks, edge, after) -> None:
+    def _standing_edges(self, blocks, edges: list[tuple[int, int]]) -> None:
         """Order blocks around a standing token on a bare spine cell.
 
         Such a token has no leaf to park on, so a passing traveler
@@ -485,18 +417,18 @@ class _Scheduler:
         k = len(blocks)
         if k < 2:
             return
-        spans = [(b["entries"][0][0], b["entries"][-1][0]) for b in blocks]
+        spans = [(b[0][0], b[-1][0]) for b in blocks]
         home: dict[_Token, int] = {}
         members: list[list[_Token]] = [[] for _ in blocks]
         start_cells: dict[int, int] = {}
         for i, b in enumerate(blocks):
-            for grp, bit, tok in b["entries"]:
-                if bit == 0:
+            for grp, bit, tok in b:
+                if bit == BLUE:
                     home[tok] = i
                     members[i].append(tok)
                     start_cells[tok.start] = i
         starts = [{self.group[t.start] for t in ms} for ms in members]
-        bfirst = [b["entries"][0][1] == 0 for b in blocks]
+        bfirst = [b[0][1] == BLUE for b in blocks]
         m = len(self.spine)
         taken = {t.target for t in self.tokens} | {t.start for t in self.tokens}
 
@@ -520,7 +452,7 @@ class _Scheduler:
             if zi is None or zi == di:
                 return
             gl, gla = g + d, g + 2 * d
-            targets = {e[2].target for e in blocks[zi]["entries"]}
+            targets = {e[2].target for e in blocks[zi]}
             spine_hit = targets & {
                 self.spine[j] for j in (gl, gla) if 0 <= j < m
             }
@@ -539,11 +471,11 @@ class _Scheduler:
                 # a standing blue on a landing-spot leaf blocks the
                 # shove until its own block departs
                 for w in sitters:
-                    edge(w, di)
+                    edges.append((w, di))
                 if zi not in sitters:
-                    edge(di, zi)
+                    edges.append((di, zi))
             elif (zhi >= gla) if d < 0 else (zlo <= gla):
-                edge(zi, di)
+                edges.append((zi, di))
 
         # fellow members shove a mate before it departs or after it
         # settles; this does not depend on how whole blocks end up ordered
@@ -571,7 +503,9 @@ class _Scheduler:
                             conflict(own, own, gp, -1)
                             break
 
-        reach = [set(a) for a in after]
+        reach: list[set[int]] = [set() for _ in blocks]
+        for a, b in edges:
+            reach[a].add(b)
         changed = True
         while changed:
             changed = False
@@ -626,7 +560,7 @@ class _Scheduler:
                                 (self.group[u.start], self.group[u.target])
                             )
                             if ulo - 1 <= gl <= uhi + 1:
-                                edge(own, di)
+                                edges.append((own, di))
                                 break
 
     def _sweep(self) -> None:
@@ -653,6 +587,23 @@ class _Scheduler:
                         self._emit(token, nxt)
                     progress = True
             assert progress, "final sweep stalled"
+
+
+def _border_edges(blocks, spine) -> list[tuple[int, int]]:
+    """Order constraints across one piece's block borders: the shared
+    rules where the border entries sit at most one group apart, and for
+    a red|red border one group wide, whichever target sits on the spine
+    waits for the other block."""
+    edges = boundary_edges(blocks, lambda left, right: right[0] - left[0] <= 1)
+    for i in range(len(blocks) - 1):
+        (gl, cl, left), (gr, cr, right) = blocks[i][-1], blocks[i + 1][0]
+        assert gr != gl or (cl, cr) == (BLUE, RED)
+        if gr == gl + 1 and cl == cr == RED:
+            if right.target == spine[gr]:
+                edges.append((i, i + 1))
+            elif left.target == spine[gl]:
+                edges.append((i + 1, i))
+    return edges
 
 
 def _piece_moves(adj, cells: AbstractSet[int], bset: set[int], rset: set[int],

@@ -137,15 +137,15 @@ class ValidationResult:
 class _AdjacencyTokens:
     """Occupied vertices of a Graph; edges come from its adjacency lists."""
 
-    __slots__ = ("g", "adj", "occupied")
+    __slots__ = ("adj", "occupied")
 
     def __init__(self, g: Graph, tokens: set[int]):
-        self.g = g
         self.adj = g.adj
         self.occupied = set(tokens)
 
     def independent(self) -> bool:
-        return self.g.is_independent(self.occupied)
+        occupied, adj = self.occupied, self.adj
+        return all(occupied.isdisjoint(adj[v]) for v in occupied)
 
     def meets(self, u: int, v: int) -> bool:
         return v in self.adj[u]
@@ -230,11 +230,10 @@ def validate_sequence(
     blue_set = set(blue)
     red_set = set(red)
     if isinstance(seq, ReconfigSequence):
-        initial, moves = seq.initial, seq.moves
-    else:
-        initial, moves = tuple(blue_set), tuple(seq)
-    if set(initial) != blue_set:
-        return ValidationResult(False, 0, "WRONG_INITIAL_SET")
+        if set(seq.initial) != blue_set:
+            return ValidationResult(False, 0, "WRONG_INITIAL_SET")
+        seq = seq.moves
+    moves = tuple(seq)
     if not all(1 <= v <= g.n for v in blue_set):
         raise ValueError(f"blue vertex out of range 1..{g.n}")
     if isinstance(g, IntervalRepresentation):

@@ -1,11 +1,12 @@
 """Shortest sliding-token schedules on twin-free proper interval graphs.
 
 Vertices are renumbered by left-endpoint order; each blue token is paired
-with the red target of equal rank.  Pairs are interleaved into a colored
-string whose height profile (+1 blue, -1 red) cuts it into blocks at the
-zero crossings.  Tokens inside a block all travel the same way and every
-token follows its shortest path, so the schedule meets the lower bound
-of summed pairwise distances.
+with the red target of equal rank.  The block layer in ``blocks.py``
+interleaves the pairs into a colored string keyed by canonical position,
+cuts it into blocks and orders them across their boundaries.  Tokens
+inside a block all travel the same way and every token follows its
+shortest path, so the schedule meets the lower bound of summed pairwise
+distances.
 
 The graph may be disconnected.  Its components are contiguous runs of
 canonical positions, and tokens never leave their component, so every
@@ -16,11 +17,11 @@ different components never wait for each other.
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
+from .blocks import BLUE, RED, block_order, boundary_edges, split_blocks, travel
 from .graphs import Move
 from .intervals import GraphClass, IntervalRepresentation
 from .results import (
@@ -30,27 +31,6 @@ from .results import (
     no_result,
     yes_result,
 )
-
-
-@dataclass(frozen=True)
-class ColoredString:
-    """Token endpoints in canonical position order, blue before red when
-    a vertex carries both colors."""
-
-    entries: tuple[tuple[int, str], ...]
-
-
-@dataclass(frozen=True)
-class Block:
-    """Maximal run of the colored string between height-zero crossings.
-
-    ``span`` and ``tokens`` are 1-based inclusive ranges of string entries
-    and token indices; ``start_color`` decides the travel direction.
-    """
-
-    span: tuple[int, int]
-    tokens: tuple[int, int]
-    start_color: str
 
 
 def canonical_order(rep: IntervalRepresentation) -> tuple[int, ...]:
@@ -114,84 +94,6 @@ def _touching(order, pos, hi):
     return pair
 
 
-def build_string(pos: dict[int, int], blue, red) -> ColoredString:
-    """Interleave blue starts and red targets by canonical position;
-    ``pos`` maps each vertex to its position (``PreparedProper.pos``)."""
-    keyed = sorted(
-        [(pos[v], 0, v) for v in blue] + [(pos[v], 1, v) for v in red]
-    )
-    return ColoredString(
-        tuple((v, "B" if c == 0 else "R") for _, c, v in keyed)
-    )
-
-
-def compute_heights(s: ColoredString) -> tuple[int, ...]:
-    """Prefix balance of the string: +1 per blue entry, -1 per red."""
-    h = [0]
-    for _, color in s.entries:
-        h.append(h[-1] + (1 if color == "B" else -1))
-    return tuple(h)
-
-
-def partition_blocks(s: ColoredString, heights) -> tuple[Block, ...]:
-    """Cut the string at every return to height zero."""
-    if heights[-1] != 0:
-        raise ValueError("unbalanced colored string")
-    blocks: list[Block] = []
-    start = 1
-    for i in range(1, len(s.entries) + 1):
-        if heights[i] == 0:
-            blocks.append(
-                Block(
-                    span=(start, i),
-                    tokens=(start // 2 + 1, i // 2),
-                    start_color=s.entries[start - 1][1],
-                )
-            )
-            start = i + 1
-    return tuple(blocks)
-
-
-def block_order(
-    blocks: tuple[Block, ...], s: ColoredString, component: list[int]
-) -> tuple[int, ...]:
-    """Processing order of blocks.
-
-    A red target followed by a blue start across a boundary means the
-    right block must vacate first; the mirrored boundary forces the left
-    block first.  Same-colored boundaries are free because each color is
-    an independent set, and so is a boundary between two components
-    (``component`` maps each vertex to its component).  Ties break
-    toward the lowest block index, so components come out left to right.
-    """
-    k = len(blocks)
-    succs: list[list[int]] = [[] for _ in range(k)]
-    indeg = [0] * k
-    for i in range(k - 1):
-        left, left_color = s.entries[blocks[i].span[1] - 1]
-        right, right_color = s.entries[blocks[i + 1].span[0] - 1]
-        if component[left] != component[right]:
-            continue
-        if left_color == "R" and right_color == "B":
-            succs[i + 1].append(i)
-            indeg[i] += 1
-        elif left_color == "B" and right_color == "R":
-            succs[i].append(i + 1)
-            indeg[i + 1] += 1
-    heap = [i for i in range(k) if indeg[i] == 0]
-    heapq.heapify(heap)
-    out: list[int] = []
-    while heap:
-        i = heapq.heappop(heap)
-        out.append(i)
-        for j in succs[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(heap, j)
-    assert len(out) == k, "boundary constraints formed a cycle"
-    return tuple(out)
-
-
 def _walk(pos, hi, lo, order, frm: int, to: int) -> tuple[int, ...]:
     if frm == to:
         return ()
@@ -216,17 +118,6 @@ def token_path(rep: IntervalRepresentation, frm: int, to: int) -> tuple[int, ...
     if any(hi[i] == i for i in range(a, b)):
         raise ValueError(f"vertices {frm} and {to} lie in different components")
     return _walk(pos, hi, lo, order, frm, to)
-
-
-def _block_token_sequence(blocks, seq):
-    """Token indices in emission order: rightmost first in blue-start
-    blocks, leftmost first in red-start blocks."""
-    for bi in seq:
-        first, last = blocks[bi].tokens
-        if blocks[bi].start_color == "B":
-            yield from range(last, first - 1, -1)
-        else:
-            yield from range(first, last + 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,15 +185,16 @@ def solve_proper(
             return no_result("COMPONENT_UNBALANCED", (min(first),))
     if decide:
         return SolveResult("YES")
-    s = build_string(p.pos, blue, red)
-    blocks = partition_blocks(s, compute_heights(s))
-    seq = block_order(blocks, s, p.component)
-    # each color in position order; the t-th blue pairs with the t-th red
-    bl = [v for v, color in s.entries if color == "B"]
-    rd = [v for v, color in s.entries if color == "R"]
+    pos, component = p.pos, p.component
+    blocks = split_blocks(
+        [(pos[v], BLUE, v) for v in blue] + [(pos[v], RED, v) for v in red]
+    )
+    # blocks of different components never wait for each other
+    edges = boundary_edges(blocks, lambda l, r: component[l[2]] == component[r[2]])
+    seq, broke = block_order(len(blocks), edges)
+    assert not broke, "boundary constraints formed a cycle"
     moves: list[Move] = []
-    for t in _block_token_sequence(blocks, seq):
-        path = _walk(p.pos, p.hi, p.lo, p.order, bl[t - 1], rd[t - 1])
+    for frm, to in travel(blocks, seq):
+        path = _walk(pos, p.hi, p.lo, p.order, frm, to)
         moves.extend(Move(a, b) for a, b in zip(path, path[1:]))
     return yes_result(moves)
-

@@ -50,16 +50,17 @@ def test_random_proper_instances_all_reachable():
 
 
 def test_solvers_agree_with_exhaustive_search():
-    """Exhaustive sweep: proper n <= 8, trivially perfect n <= 8,
-    caterpillars n <= 10, all ordered independent-set pairs with k <= 3.
-    Decisions and move counts must match breadth-first search exactly."""
+    """Exhaustive sweep: proper n <= 9 with k <= 4, trivially perfect
+    n <= 8 and caterpillars n <= 10 with k <= 3, all ordered
+    independent-set pairs.  Decisions and move counts must match
+    breadth-first search exactly."""
     start = time.perf_counter()
     totals = {}
-    for cls, n_max in (("proper", 8), ("tp", 8), ("caterpillar", 10)):
-        report = crosscheck(cls, n_max)
+    for cls, n_max, k_max in (("proper", 9, 4), ("tp", 8, 3), ("caterpillar", 10, 3)):
+        report = crosscheck(cls, n_max, k_max=k_max)
         assert report.mismatches == (), report.render()
         totals[cls] = report.checked
-    assert totals["proper"] > 15_000
+    assert totals["proper"] > 98_000
     assert totals["tp"] > 8_000
     assert totals["caterpillar"] > 400_000
     assert time.perf_counter() - start < 600.0

@@ -5,19 +5,29 @@ The benchmark's workloads are built from these generators, so a drift
 here makes its runs incomparable across versions.  The digests were
 recorded before the solvers' shared paths were consolidated, and the
 disconnected proper digest before the proper solver took forests, and
-the oracle digest before the two breadth-first searches became one; a
-change that is meant to alter generated instances or schedules must
-re-record them and say why.
+the oracle digest before the two breadth-first searches became one,
+and the library schedule digests before the proper and caterpillar
+schedulers came to share one block layer; a change that is meant to
+alter generated instances or schedules must re-record them and say why.
 """
 
 import hashlib
 
 import pytest
 
+from tokenslide.caterpillar import prepare_caterpillar, solve_caterpillar
 from tokenslide.cli import main
-from tokenslide.generate import GenerationError, gen_instance
+from tokenslide.generate import (
+    GenerationError,
+    enumerate_caterpillar_graphs,
+    enumerate_independent_sets,
+    enumerate_proper_representations,
+    gen_instance,
+)
+from tokenslide.graphs import Graph, find_strong_twins
 from tokenslide.instances import Instance, serialize_instance
 from tokenslide.intervals import IntervalRepresentation
+from tokenslide.proper import prepare_proper, solve_proper
 
 SIZES = (3, 9, 24, 300)
 TOKENS = (1, 3, 7)
@@ -73,6 +83,15 @@ ORACLE_CASES = [
 ]
 
 ORACLE_DIGEST = "eb0d0d4e3acc0eccb68df311a275319a8fd515bd405bbb6031e73dfec4ac84f8"
+
+# library schedules (status, moves, reason, witness) for every ordered pair
+# of independent sets of equal size k <= 3: on every caterpillar with at
+# most 8 vertices (27,848 solves) and every twin-free proper
+# representation with at most 7 (4,058 solves)
+LIBRARY_DIGESTS = {
+    "caterpillar": "5925a58f15a288b906a0ab01b47c16f89b8b5c6510eb1e67555d3542e09f3dc2",
+    "proper": "e60ac2a96a3db424443c60b342cda0af5207aa472680e0621e5fd5f5a0c0d0c8",
+}
 
 
 def instances_digest(cls: str) -> str:
@@ -142,6 +161,41 @@ def oracle_digest(tmp_path, capsys) -> str:
     return h.hexdigest()
 
 
+def library_graphs(cls: str):
+    """(label, structure the solver prepares, graph), smallest first."""
+    if cls == "caterpillar":
+        for n in range(3, 9):
+            for g in enumerate_caterpillar_graphs(n):
+                yield f"{n} {g.edges()}", g, g
+    else:
+        for n in range(1, 8):
+            for rep in enumerate_proper_representations(n):
+                g = Graph.from_representation(rep)
+                if not find_strong_twins(g):
+                    yield rep.serialize(), rep, g
+
+
+def library_digest(cls: str) -> tuple[str, int]:
+    prepare, solve = {
+        "caterpillar": (prepare_caterpillar, solve_caterpillar),
+        "proper": (prepare_proper, solve_proper),
+    }[cls]
+    h = hashlib.sha256()
+    solves = 0
+    for label, structure, g in library_graphs(cls):
+        prepared = prepare(structure)
+        h.update(f"{label}\n".encode())
+        for k in (1, 2, 3):
+            sets = list(enumerate_independent_sets(g, k))
+            for blue in sets:
+                for red in sets:
+                    res = solve(prepared, blue, red)
+                    row = (blue, red, res.status, res.moves, res.reason, res.witness)
+                    h.update(f"{row}\n".encode())
+                    solves += 1
+    return h.hexdigest(), solves
+
+
 @pytest.mark.parametrize("cls", sorted(INSTANCE_DIGESTS))
 def test_generated_instances_match_digest(cls):
     assert instances_digest(cls) == INSTANCE_DIGESTS[cls]
@@ -157,3 +211,8 @@ def test_cli_solve_output_on_disconnected_proper_matches_digest(tmp_path, capsys
 
 def test_cli_oracle_output_matches_digest(tmp_path, capsys):
     assert oracle_digest(tmp_path, capsys) == ORACLE_DIGEST
+
+
+@pytest.mark.parametrize("cls,solves", [("caterpillar", 27_848), ("proper", 4_058)])
+def test_library_schedules_match_digest(cls, solves):
+    assert library_digest(cls) == (LIBRARY_DIGESTS[cls], solves)

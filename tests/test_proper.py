@@ -2,7 +2,10 @@
 
 Expected move counts were computed with the brute-force BFS oracle
 before the solver existed; the wide path example is checked against
-per-token distance sums and full sequence validation.
+per-token distance sums and full sequence validation.  The colored
+string, block and block-order classes check the shared block layer
+(``tokenslide.blocks``) on the strings the proper solver builds: keyed
+by canonical position, with boundaries linked inside one component.
 """
 
 import pytest
@@ -14,19 +17,11 @@ from tokenslide.generate import (
     path_representation,
     quadratic_path_instance,
 )
+from tokenslide.blocks import BLUE, RED, block_order, boundary_edges, split_blocks
 from tokenslide.graphs import Graph, Move, find_strong_twins, validate_sequence
 from tokenslide.intervals import IntervalRepresentation, parse_representation
 from tokenslide.oracle import SlideSpace, bfs
-from tokenslide.proper import (
-    block_order,
-    build_string,
-    canonical_order,
-    compute_heights,
-    partition_blocks,
-    prepare_proper,
-    solve_proper,
-    token_path,
-)
+from tokenslide.proper import canonical_order, prepare_proper, solve_proper, token_path
 from tokenslide.results import SolverInputError
 
 # Path on 36 vertices with nine tokens per side, chosen so the colored
@@ -44,19 +39,61 @@ def wide_rep():
     return path_representation(WIDE_N)
 
 
-def positions(rep):
-    """Vertex to canonical position, as ``prepare_proper`` maps them."""
-    return {v: i for i, v in enumerate(canonical_order(rep), start=1)}
+def proper_blocks(rep, blue, red):
+    """The blocks of the colored string ``solve_proper`` builds: blue
+    starts and red targets keyed by canonical position, as
+    ``prepare_proper`` maps them."""
+    pos = {v: i for i, v in enumerate(canonical_order(rep), start=1)}
+    return split_blocks([(pos[v], BLUE, v) for v in blue] + [(pos[v], RED, v) for v in red])
 
 
-def string_and_blocks(rep, blue, red):
-    s = build_string(positions(rep), blue, red)
-    return s, partition_blocks(s, compute_heights(s))
+def colored_string(rep, blue, red):
+    """The whole string as (vertex, "B" or "R") entries."""
+    return tuple(
+        (v, "B" if color == BLUE else "R")
+        for block in proper_blocks(rep, blue, red)
+        for _, color, v in block
+    )
+
+
+def compute_heights(entries) -> tuple[int, ...]:
+    """Prefix balance of the string: +1 per blue entry, -1 per red."""
+    h = [0]
+    for _, color in entries:
+        h.append(h[-1] + (1 if color == "B" else -1))
+    return tuple(h)
+
+
+def spans(blocks):
+    """1-based inclusive ranges of string entries, one per block."""
+    out, end = [], 0
+    for block in blocks:
+        out.append((end + 1, end + len(block)))
+        end += len(block)
+    return out
+
+
+def token_ranges(blocks):
+    """1-based inclusive ranges of token indices (blue ranks), one per block."""
+    out, last = [], 0
+    for block in blocks:
+        count = sum(1 for e in block if e[1] == BLUE)
+        out.append((last + 1, last + count))
+        last += count
+    return out
+
+
+def start_colors(blocks):
+    return ["B" if block[0][1] == BLUE else "R" for block in blocks]
 
 
 def processing_order(rep, blue, red):
-    s, blocks = string_and_blocks(rep, blue, red)
-    return block_order(blocks, s, prepare_proper(rep).component)
+    blocks = proper_blocks(rep, blue, red)
+    component = prepare_proper(rep).component
+    edges = boundary_edges(blocks, lambda l, r: component[l[2]] == component[r[2]])
+    order, broke = block_order(len(blocks), edges)
+    assert not broke
+    return tuple(order)
 
 
 class TestCanonicalOrder:
@@ -86,59 +123,59 @@ class TestBuildString:
     def test_single_vertex_both_colors(self):
         """A vertex in both sets contributes blue before red."""
         rep = parse_representation("L1 R1")
-        s = build_string(positions(rep), (1,), (1,))
-        assert s.entries == ((1, "B"), (1, "R"))
+        assert colored_string(rep, (1,), (1,)) == ((1, "B"), (1, "R"))
 
     def test_orders_by_position(self):
         rep = path_representation(4)
-        s = build_string(positions(rep), (1, 3), (2, 4))
-        assert s.entries == ((1, "B"), (2, "R"), (3, "B"), (4, "R"))
+        s = colored_string(rep, (1, 3), (2, 4))
+        assert s == ((1, "B"), (2, "R"), (3, "B"), (4, "R"))
 
     def test_relabeled_positions(self):
         rep = parse_representation("L2 L3 R2 L1 R3 R1")
-        s = build_string(positions(rep), (1,), (2,))
-        assert s.entries == ((2, "R"), (1, "B"))
+        assert colored_string(rep, (1,), (2,)) == ((2, "R"), (1, "B"))
 
     def test_empty(self):
-        s = build_string(positions(path_representation(3)), (), ())
-        assert s.entries == ()
+        assert colored_string(path_representation(3), (), ()) == ()
 
 
 class TestHeights:
     def test_alternating(self):
         rep = path_representation(4)
-        s = build_string(positions(rep), (1, 3), (2, 4))
+        s = colored_string(rep, (1, 3), (2, 4))
         assert compute_heights(s) == (0, 1, 0, 1, 0)
+        assert [end for _, end in spans(proper_blocks(rep, (1, 3), (2, 4)))] == [2, 4]
 
     def test_wide_example_returns_to_zero_four_times(self):
-        s = build_string(positions(wide_rep()), WIDE_BLUE, WIDE_RED)
+        s = colored_string(wide_rep(), WIDE_BLUE, WIDE_RED)
         h = compute_heights(s)
         assert len(h) == 19
         assert h[0] == 0 and h[-1] == 0
         assert [i for i in range(1, 19) if h[i] == 0] == [4, 6, 16, 18]
+        # every return to zero ends a block
+        blocks = proper_blocks(wide_rep(), WIDE_BLUE, WIDE_RED)
+        assert [end for _, end in spans(blocks)] == [4, 6, 16, 18]
 
     def test_red_start_goes_negative(self):
         rep = path_representation(2)
-        s = build_string(positions(rep), (2,), (1,))
+        s = colored_string(rep, (2,), (1,))
         assert compute_heights(s) == (0, -1, 0)
 
 
 class TestBlocks:
     def test_wide_example_spans(self):
-        _, blocks = string_and_blocks(wide_rep(), WIDE_BLUE, WIDE_RED)
-        assert [b.span for b in blocks] == [(1, 4), (5, 6), (7, 16), (17, 18)]
-        assert [b.tokens for b in blocks] == [(1, 2), (3, 3), (4, 8), (9, 9)]
-        assert [b.start_color for b in blocks] == ["B", "B", "R", "B"]
+        blocks = proper_blocks(wide_rep(), WIDE_BLUE, WIDE_RED)
+        assert spans(blocks) == [(1, 4), (5, 6), (7, 16), (17, 18)]
+        assert token_ranges(blocks) == [(1, 2), (3, 3), (4, 8), (9, 9)]
+        assert start_colors(blocks) == ["B", "B", "R", "B"]
 
     def test_single_token_block(self):
-        _, blocks = string_and_blocks(path_representation(2), (2,), (1,))
+        blocks = proper_blocks(path_representation(2), (2,), (1,))
         assert len(blocks) == 1
-        assert blocks[0].span == (1, 2)
-        assert blocks[0].start_color == "R"
+        assert spans(blocks) == [(1, 2)]
+        assert start_colors(blocks) == ["R"]
 
     def test_no_tokens_no_blocks(self):
-        _, blocks = string_and_blocks(path_representation(3), (), ())
-        assert blocks == ()
+        assert proper_blocks(path_representation(3), (), ()) == []
 
 
 class TestBlockOrder:
@@ -151,18 +188,19 @@ class TestBlockOrder:
 
     def test_blue_then_red_boundary_keeps_left_first(self):
         rep = path_representation(6)
-        _, blocks = string_and_blocks(rep, (2, 6), (1, 4))
-        assert [b.start_color for b in blocks] == ["R", "R"]
+        assert start_colors(proper_blocks(rep, (2, 6), (1, 4))) == ["R", "R"]
         assert processing_order(rep, (2, 6), (1, 4)) == (0, 1)
 
     def test_no_constraint_between_components(self):
         # red 3 ends the first path's block and blue 4 starts the second
         # path's: on one path the right block would have to go first
         rep = parse_representation(TWO_PATHS)
-        s, blocks = string_and_blocks(rep, (1, 4), (3, 6))
-        assert [s.entries[b.span[0] - 1] for b in blocks] == [(1, "B"), (4, "B")]
-        assert s.entries[blocks[0].span[1] - 1] == (3, "R")
+        blocks = proper_blocks(rep, (1, 4), (3, 6))
+        assert [(b[0][2], b[0][1]) for b in blocks] == [(1, BLUE), (4, BLUE)]
+        assert (blocks[0][-1][2], blocks[0][-1][1]) == (3, RED)
         assert processing_order(rep, (1, 4), (3, 6)) == (0, 1)
+        # the component test is what frees that boundary
+        assert boundary_edges(blocks, lambda l, r: True) == [(1, 0)]
 
 
 class TestTokenPath:
