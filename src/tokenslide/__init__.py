@@ -6,7 +6,6 @@ from .crosscheck import CrosscheckReport, Mismatch, crosscheck
 from .generate import GenerationError, gen_instance, quadratic_path_instance
 from .graphs import (
     Graph,
-    Move,
     ReconfigSequence,
     ValidationResult,
     find_strong_twins,
@@ -40,7 +39,6 @@ __all__ = [
     "InstanceFormatError",
     "IntervalRepresentation",
     "Mismatch",
-    "Move",
     "OracleResult",
     "ReconfigSequence",
     "RepresentationError",

@@ -255,7 +255,7 @@ class _Scheduler:
         return [l for l in self.leaves[gi] if l not in self.occupied]
 
     def _push(self, token: _Token, dirn: int, clean: bool = False) -> bool:
-        """Move ``token`` one spine cell along ``dirn``, shoving a
+        """Slide ``token`` one spine cell along ``dirn``, shoving a
         same-direction neighbour two cells over out of the way first
         (unless ``clean`` forbids shoving anyone else).  Fails on leaf
         bystanders or at the end of the spine."""

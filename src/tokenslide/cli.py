@@ -122,9 +122,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         inst = parse_instance(_read(args.inp))
         text = _read(args.seq)
         # tolerate sequences saved straight from `solve` output
-        lines = text.splitlines()
-        if lines and lines[0].strip() == "YES":
-            text = "\n".join(lines[1:])
+        first, _, rest = text.partition("\n")
+        if first.strip() == "YES":
+            text = rest
         seq = parse_sequence(text, inst.blue)
     except InstanceFormatError as err:
         return _fail(f"ERROR PARSE: {err}")

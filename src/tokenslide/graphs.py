@@ -1,26 +1,22 @@
-"""Graphs, moves, twin detection, and sequence validation."""
+"""Graphs, slide sequences, twin detection, and sequence validation."""
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .intervals import IntervalRepresentation
 
 
-class Move(NamedTuple):
-    src: int
-    dst: int
-
-
 @dataclass(frozen=True)
 class ReconfigSequence:
-    """A slide sequence: the initial token set and one move per step."""
+    """A slide sequence: the initial token set and one (src, dst) vertex
+    pair per step."""
 
     initial: tuple[int, ...]
-    moves: tuple[Move, ...]
+    moves: tuple[tuple[int, int], ...]
 
     @property
     def move_count(self) -> int:
@@ -147,17 +143,17 @@ class _AdjacencyTokens:
         occupied, adj = self.occupied, self.adj
         return all(occupied.isdisjoint(adj[v]) for v in occupied)
 
-    def meets(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
-    def slide(self, src: int, dst: int) -> bool:
-        """Move the token on src to dst unless dst meets another token."""
+    def step(self, src: int, dst: int) -> str | None:
+        """Slide the token on src to dst, or name the rule the slide breaks."""
+        adj = self.adj
+        if dst not in adj[src]:
+            return "NOT_AN_EDGE"
         occupied = self.occupied
         occupied.discard(src)
-        if not occupied.isdisjoint(self.adj[dst]):
-            return False
+        if not occupied.isdisjoint(adj[dst]):
+            return "NOT_INDEPENDENT"
         occupied.add(dst)
-        return True
+        return None
 
 
 class _RankTokens:
@@ -185,26 +181,24 @@ class _RankTokens:
     def independent(self) -> bool:
         return all(hi < lo for hi, lo in zip(self.rights, self.lefts[1:]))
 
-    def meets(self, u: int, v: int) -> bool:
-        # u holds a token, so it is in range; v comes straight from a move
-        # and is range-checked before it indexes the rank lists
+    def step(self, src: int, dst: int) -> str | None:
+        """Slide the token on src to dst, or name the rule the slide breaks."""
+        # src holds a token, so it is in range; dst comes straight from a
+        # move and is range-checked before it indexes the rank lists
         left, right = self.left, self.right
-        return 1 <= v <= self.n and left[u] < right[v] and left[v] < right[u]
-
-    def slide(self, src: int, dst: int) -> bool:
-        """Move the token on src to dst, which meets src, unless dst meets
-        another token."""
+        if not (1 <= dst <= self.n and left[src] < right[dst] and left[dst] < right[src]):
+            return "NOT_AN_EDGE"
         lefts, rights = self.lefts, self.rights
-        lo, hi = self.left[dst], self.right[dst]
-        at = bisect_left(lefts, self.left[src])
+        lo, hi = left[dst], right[dst]
+        at = bisect_left(lefts, left[src])
         if at > 0 and rights[at - 1] > lo:
-            return False
+            return "NOT_INDEPENDENT"
         if at + 1 < len(lefts) and lefts[at + 1] < hi:
-            return False
+            return "NOT_INDEPENDENT"
         lefts[at], rights[at] = lo, hi
         self.occupied.discard(src)
         self.occupied.add(dst)
-        return True
+        return None
 
 
 def validate_sequence(
@@ -215,17 +209,19 @@ def validate_sequence(
 ) -> ValidationResult:
     """Replay a sequence move by move.
 
-    ``seq`` is a ReconfigSequence or a bare iterable of (src, dst) moves
-    starting from blue.  Checks that the sequence starts at blue, ends at
-    red, and that every step slides one token along an edge into an
-    unoccupied vertex while keeping the set independent.  The step index
-    of the first violation is 1-based; step 0 flags a wrong initial set.
+    ``seq`` is a ReconfigSequence or a bare iterable of (src, dst) int
+    pairs starting from blue, read once and never copied.  Checks that
+    the sequence starts at blue, ends at red, and that every step slides
+    one token along an edge into an unoccupied vertex while keeping the
+    set independent.  The step index of the first violation is 1-based;
+    step 0 flags a wrong initial set, the last step a wrong final set.
     Blue vertices outside 1..n raise ValueError.
 
     ``g`` is a Graph or an IntervalRepresentation.  A representation is
     checked without building any edge: O(n + k log k) set-up for k
     tokens, then one bisect per move, since two intervals meet iff their
-    rank ranges overlap.  Both inputs give the same verdicts.
+    rank ranges overlap.  Both inputs give the same verdicts, with one
+    ``step`` call per move.
     """
     blue_set = set(blue)
     red_set = set(red)
@@ -233,7 +229,6 @@ def validate_sequence(
         if set(seq.initial) != blue_set:
             return ValidationResult(False, 0, "WRONG_INITIAL_SET")
         seq = seq.moves
-    moves = tuple(seq)
     if not all(1 <= v <= g.n for v in blue_set):
         raise ValueError(f"blue vertex out of range 1..{g.n}")
     if isinstance(g, IntervalRepresentation):
@@ -242,16 +237,16 @@ def validate_sequence(
         tokens = _AdjacencyTokens(g, blue_set)
     if not tokens.independent():
         return ValidationResult(False, 0, "NOT_INDEPENDENT")
-    current, meets, slide = tokens.occupied, tokens.meets, tokens.slide
-    for step, (src, dst) in enumerate(moves, start=1):
+    current, advance = tokens.occupied, tokens.step
+    step = 0
+    for step, (src, dst) in enumerate(seq, start=1):
         if src not in current:
             return ValidationResult(False, step, "SOURCE_NOT_OCCUPIED")
         if dst in current:
             return ValidationResult(False, step, "TARGET_OCCUPIED")
-        if not meets(src, dst):
-            return ValidationResult(False, step, "NOT_AN_EDGE")
-        if not slide(src, dst):
-            return ValidationResult(False, step, "NOT_INDEPENDENT")
+        broken = advance(src, dst)
+        if broken is not None:
+            return ValidationResult(False, step, broken)
     if current != red_set:
-        return ValidationResult(False, len(moves), "WRONG_FINAL_SET")
+        return ValidationResult(False, step, "WRONG_FINAL_SET")
     return ValidationResult(True)

@@ -27,11 +27,12 @@ Sequence files::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice
 
-from .graphs import Graph, Move, ReconfigSequence
-from .intervals import IntervalRepresentation, parse_representation
+from .graphs import Graph, ReconfigSequence
+from .intervals import IntervalRepresentation, RepresentationError, _is_number, parse_representation
 
 
 class InstanceFormatError(ValueError):
@@ -54,19 +55,14 @@ class Instance:
 
 
 def _meaningful_lines(text: str) -> list[str]:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    return lines
+    """The text's lines without comments and surrounding blanks, empty ones dropped."""
+    return [line for raw in text.splitlines() if (line := raw.partition("#")[0].strip())]
 
 
 def _parse_vertex_list(parts: list[str], n: int, label: str) -> tuple[int, ...]:
-    try:
-        ids = [int(p) for p in parts]
-    except ValueError:
-        raise InstanceFormatError(f"non-integer vertex id in {label} line") from None
+    if not all(map(_is_number, parts)):
+        raise InstanceFormatError(f"non-integer vertex id in {label} line")
+    ids = list(map(int, parts))
     for vid in ids:
         if not 1 <= vid <= n:
             raise InstanceFormatError(f"{label} vertex {vid} out of range 1..{n}")
@@ -93,7 +89,7 @@ def parse_instance(text: str) -> Instance:
         if key == "n":
             if n is not None:
                 raise InstanceFormatError("duplicate n line")
-            if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+            if len(parts) != 2 or not _is_number(parts[1]) or int(parts[1]) < 1:
                 raise InstanceFormatError("n line must be 'n <positive integer>'")
             n = int(parts[1])
         elif key == "rep":
@@ -101,7 +97,10 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceFormatError("rep line before n line")
             if rep is not None or edge_list is not None:
                 raise InstanceFormatError("multiple rep/edges sections")
-            rep = parse_representation(" ".join(parts[1:]))
+            try:
+                rep = parse_representation(" ".join(parts[1:]))
+            except RepresentationError as err:
+                raise InstanceFormatError(f"rep line, {err}") from None
             if rep.n != n:
                 raise InstanceFormatError(f"rep has {rep.n} intervals, expected n={n}")
         elif key == "edges":
@@ -109,20 +108,17 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceFormatError("edges line before n line")
             if rep is not None or edge_list is not None:
                 raise InstanceFormatError("multiple rep/edges sections")
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not _is_number(parts[1]):
                 raise InstanceFormatError("edges line must be 'edges <count>'")
             m = int(parts[1])
             if m > len(lines) - i - 1:
                 raise InstanceFormatError(f"expected {m} edge lines")
             edge_list = []
-            for j in range(1, m + 1):
-                edge_parts = lines[i + j].split()
-                try:
-                    u, v = int(edge_parts[0]), int(edge_parts[1])
-                except (ValueError, IndexError):
-                    raise InstanceFormatError(f"bad edge line: {lines[i + j]!r}") from None
-                if len(edge_parts) != 2:
-                    raise InstanceFormatError(f"bad edge line: {lines[i + j]!r}")
+            for line in lines[i + 1 : i + m + 1]:
+                edge_parts = line.split()
+                if len(edge_parts) != 2 or not all(map(_is_number, edge_parts)):
+                    raise InstanceFormatError(f"bad edge line: {line!r}")
+                u, v = map(int, edge_parts)
                 if not (1 <= u <= n and 1 <= v <= n) or u == v:
                     raise InstanceFormatError(f"bad edge ({u}, {v}) for n={n}")
                 edge_list.append((u, v))
@@ -166,29 +162,32 @@ def serialize_instance(inst: Instance) -> str:
 
 
 def parse_sequence(text: str, initial: tuple[int, ...]) -> ReconfigSequence:
+    """Read a sequence file into (src, dst) int pairs, holding one object
+    per move beyond the text's own lines."""
     lines = _meaningful_lines(text)
     if not lines:
         raise InstanceFormatError("empty sequence file")
     head = lines[0].split()
-    if len(head) != 2 or head[0] != "MOVES" or not head[1].isdigit():
+    if len(head) != 2 or head[0] != "MOVES" or not _is_number(head[1]):
         raise InstanceFormatError("sequence file must start with 'MOVES <count>'")
     count = int(head[1])
     if len(lines) - 1 != count:
         raise InstanceFormatError(f"expected {count} move lines, found {len(lines) - 1}")
     moves = []
-    for line in lines[1:]:
-        parts = line.split()
+    for line in islice(lines, 1, None):
         try:
-            src, dst = int(parts[0]), int(parts[1])
-        except (ValueError, IndexError):
+            src, dst = line.split()
+        except ValueError:
             raise InstanceFormatError(f"bad move line: {line!r}") from None
-        if len(parts) != 2:
+        if not (_is_number(src) and _is_number(dst)):
             raise InstanceFormatError(f"bad move line: {line!r}")
-        moves.append(Move(src, dst))
+        moves.append((int(src), int(dst)))
     return ReconfigSequence(tuple(sorted(initial)), tuple(moves))
 
 
 def serialize_sequence(seq: ReconfigSequence) -> str:
-    out = [f"MOVES {len(seq.moves)}"]
-    out.extend(f"{src} {dst}" for src, dst in seq.moves)
-    return "\n".join(out) + "\n"
+    # one format call over the flattened pairs: no string per move
+    if not set(map(len, seq.moves)) <= {2}:
+        raise ValueError("every move must be a (src, dst) pair")
+    count = len(seq.moves)
+    return f"MOVES {count}\n" + ("%s %s\n" * count) % tuple(chain.from_iterable(seq.moves))

@@ -116,13 +116,20 @@ class IntervalRepresentation:
         return edges
 
 
+def _is_number(field: str) -> bool:
+    """True for a nonempty run of the ASCII digits 0-9, the only numerals
+    the file formats take: ``int`` would also take a sign, underscores
+    between digits, and the decimal digits of other scripts."""
+    return field.isdigit() and field.isascii()
+
+
 def parse_representation(text: str) -> IntervalRepresentation:
     """Parse an endpoint string, reporting the offending token position on error."""
     tokens = text.split()
     events: list[tuple[str, int]] = []
     for pos, tok in enumerate(tokens, start=1):
         side, digits = tok[:1], tok[1:]
-        if side not in ("L", "R") or not digits.isdigit() or int(digits) < 1:
+        if side not in ("L", "R") or not _is_number(digits) or int(digits) < 1:
             raise RepresentationError(f"malformed endpoint token {tok!r}", pos)
         events.append((side, int(digits)))
 

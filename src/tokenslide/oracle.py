@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Graph, Move, ReconfigSequence
+from .graphs import Graph, ReconfigSequence
 
 DEFAULT_STATE_CAP = 10_000_000
 
@@ -114,17 +114,17 @@ class SlideSpace:
         return CAPPED if self._searches[src][1] else None
 
 
-def _path(g: Graph, dist: dict[StateKey, int], goal: StateKey) -> tuple[Move, ...]:
+def _path(g: Graph, dist: dict[StateKey, int], goal: StateKey) -> tuple[tuple[int, int], ...]:
     """Slides from the search's source to ``goal``.  A state's parent, the
     state whose expansion discovered it, is its earliest-discovered
     neighbour one step closer to the source."""
     order = {state: i for i, state in enumerate(dist)}
-    moves: list[Move] = []
+    moves: list[tuple[int, int]] = []
     while dist[goal]:
         closer = [s for s in slide_neighbors(g, goal) if dist.get(s) == dist[goal] - 1]
         prev = min(closer, key=order.__getitem__)
         (src,), (dst,) = set(prev).difference(goal), set(goal).difference(prev)
-        moves.append(Move(src, dst))
+        moves.append((src, dst))
         goal = prev
     return tuple(reversed(moves))
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .blocks import BLUE, RED, block_order, boundary_edges, split_blocks, travel
-from .graphs import Move
 from .intervals import GraphClass, IntervalRepresentation
 from .results import (
     SolveResult,
@@ -193,8 +192,8 @@ def solve_proper(
     edges = boundary_edges(blocks, lambda l, r: component[l[2]] == component[r[2]])
     seq, broke = block_order(len(blocks), edges)
     assert not broke, "boundary constraints formed a cycle"
-    moves: list[Move] = []
+    moves: list[tuple[int, int]] = []
     for frm, to in travel(blocks, seq):
         path = _walk(pos, p.hi, p.lo, p.order, frm, to)
-        moves.extend(Move(a, b) for a, b in zip(path, path[1:]))
+        moves.extend(zip(path, path[1:]))
     return yes_result(moves)

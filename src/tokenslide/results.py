@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .graphs import Move
-
 
 class SolverInputError(ValueError):
     """Input violates a solver precondition (wrong class, twins, ...).
@@ -60,12 +58,13 @@ def check_tokens(
 class SolveResult:
     """Outcome of a solver run.
 
-    ``moves`` is None when solving in decision-only mode; a NO answer
-    carries a machine-readable reason and the witnessing vertices.
+    ``moves`` holds one (src, dst) vertex pair per slide, and is None
+    when solving in decision-only mode; a NO answer carries a
+    machine-readable reason and the witnessing vertices.
     """
 
     status: str  # "YES" | "NO"
-    moves: tuple[Move, ...] | None = None
+    moves: tuple[tuple[int, int], ...] | None = None
     reason: str | None = None
     witness: tuple[int, ...] = ()
 

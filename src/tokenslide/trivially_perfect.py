@@ -15,7 +15,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
-from .graphs import Move
 from .intervals import IntervalRepresentation
 from .results import SolveResult, SolverInputError, check_tokens, no_result
 
@@ -213,11 +212,11 @@ def solve_tp(
 
     if decide:
         return SolveResult("YES")
-    moves: list[Move] = []
+    moves: list[tuple[int, int]] = []
     for b, lca, r in pairs:
         if lca == b or lca == r:
-            moves.append(Move(b, r))
+            moves.append((b, r))
         else:
-            moves.append(Move(b, lca))
-            moves.append(Move(lca, r))
+            moves.append((b, lca))
+            moves.append((lca, r))
     return SolveResult("YES", tuple(moves))

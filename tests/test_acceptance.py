@@ -4,8 +4,8 @@ One test per guarantee the package makes: totality on proper interval
 graphs, exact agreement with exhaustive search on all three classes,
 the quadratic path family, the two-slides-per-token bound on trivially
 perfect graphs, the stuck-iff-locked characterisation on caterpillars,
-reversibility, and coarse linear scaling of the decision mode.  Each
-is written against the public API only.
+reversibility, and coarse linear scaling of the decision mode and of
+verification.  Each is written against the public API only.
 """
 
 import gc
@@ -22,7 +22,8 @@ from tokenslide.generate import (
     gen_instance,
     quadratic_path_instance,
 )
-from tokenslide.graphs import Graph, validate_sequence
+from tokenslide.graphs import Graph, ReconfigSequence, validate_sequence
+from tokenslide.instances import parse_sequence, serialize_sequence
 from tokenslide.oracle import bfs, slide_neighbors, state_key
 from tokenslide.proper import solve_proper
 from tokenslide.trivially_perfect import solve_tp
@@ -223,3 +224,35 @@ def test_decision_mode_stays_linear_on_many_frozen_groups():
             assert res.yes
         best_ratio = min(best_ratio, cpu[48_000] / cpu[24_000])
     assert best_ratio < 3.0, best_ratio
+
+
+def test_verify_grows_linearly_in_moves():
+    """Parsing and replaying the quadratic path's schedule, by rank
+    overlap and by adjacency, takes less than 6x the CPU time at k = 100
+    (60,100 moves) that it takes at k = 50 (15,050 moves, a quarter).
+    Timed like test_decision_mode_runs_in_linear_time.
+    """
+    for by_graph in (False, True):
+        runs = {}
+        for k in (50, 100):
+            inst = quadratic_path_instance(k)
+            res = solve_proper(inst.rep, inst.blue, inst.red)
+            assert res.move_count == k * (6 * k + 1)
+            text = serialize_sequence(ReconfigSequence(tuple(sorted(inst.blue)), res.moves))
+            structure = inst.graph if by_graph else inst.rep
+            runs[k] = lambda s=structure, inst=inst, text=text: validate_sequence(
+                s, inst.blue, inst.red, parse_sequence(text, inst.blue)
+            )
+        best_ratio = float("inf")
+        for _ in range(9):
+            cpu = {}
+            for k, fn in runs.items():
+                gc.collect()
+                gc.disable()
+                c = time.process_time()
+                check = fn()
+                cpu[k] = time.process_time() - c
+                gc.enable()
+                assert check.ok
+            best_ratio = min(best_ratio, cpu[100] / cpu[50])
+        assert best_ratio < 6.0, (by_graph, best_ratio)

@@ -63,6 +63,12 @@ class TestSolve:
         assert code == 2
         assert "ERROR PARSE" in err
 
+    def test_bad_rep_token_is_a_parse_error(self, tmp_path, capsys):
+        path = write(tmp_path, "inst.txt", "n 2\nrep L1 X2 R1 R2\nblue 1\nred 1\n")
+        code, out, err = run(capsys, "solve", "--in", path)
+        assert (code, out) == (2, "")
+        assert err == "ERROR PARSE: rep line, token 2: malformed endpoint token 'X2'\n"
+
     def test_edge_list_cannot_use_proper_solver(self, tmp_path, capsys):
         path = write(tmp_path, "inst.txt", LOCKED_NO)
         code, _, err = run(capsys, "solve", "--class", "proper", "--in", path)
@@ -118,6 +124,24 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--in", inst, "--seq", seq)
         assert code == 1
         assert "WRONG_FINAL_SET" in out
+
+    def test_solve_output_with_crlf_endings_verifies(self, tmp_path, capsys):
+        inst = write(tmp_path, "inst.txt", P8_REP)
+        seq = tmp_path / "seq.txt"
+        run(capsys, "solve", "--in", inst, "--out", str(seq))
+        text = seq.read_text()
+        assert text.startswith("YES\n")
+        seq.write_bytes(text.replace("\n", "\r\n").encode())
+        code, out, _ = run(capsys, "verify", "--in", inst, "--seq", str(seq))
+        assert (code, out) == (0, "OK\n")
+
+    def test_malformed_number_in_move_exits_2(self, tmp_path, capsys):
+        # int() reads "0_3" as 3, which made this slide verify OK
+        inst = write(tmp_path, "inst.txt", P8_REP.replace("blue 1\nred 8", "blue 2\nred 3"))
+        seq = write(tmp_path, "seq.txt", "MOVES 1\n2 0_3\n")
+        code, out, err = run(capsys, "verify", "--in", inst, "--seq", seq)
+        assert (code, out) == (2, "")
+        assert err == "ERROR PARSE: bad move line: '2 0_3'\n"
 
     def test_malformed_sequence_exits_2(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.txt", P8_REP)

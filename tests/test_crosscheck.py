@@ -121,11 +121,9 @@ class TestHarnessSelfTest:
 
     def test_invalid_sequence_is_caught(self):
         def teleport(g, blue, red):
-            from tokenslide.graphs import Move
-
             if blue == red:
                 return yes_result(())
-            rest = [Move(b, r) for b, r in zip(blue, red) if b != r]
+            rest = [(b, r) for b, r in zip(blue, red) if b != r]
             return yes_result(rest)
 
         report = crosscheck("caterpillar", 4, solver=teleport)

@@ -7,7 +7,11 @@ recorded before the solvers' shared paths were consolidated, and the
 disconnected proper digest before the proper solver took forests, and
 the oracle digest before the two breadth-first searches became one,
 and the library schedule digests before the proper and caterpillar
-schedulers came to share one block layer; a change that is meant to
+schedulers came to share one block layer.  The library rows hash each
+move as a plain ``(src, dst)`` tuple, so they pin the schedule and not the
+type that carries a move; the proper digest was re-recorded for that,
+before moves became plain pairs, and the caterpillar digest, whose moves
+were plain pairs already, came out unchanged.  A change that is meant to
 alter generated instances or schedules must re-record them and say why.
 """
 
@@ -90,7 +94,7 @@ ORACLE_DIGEST = "eb0d0d4e3acc0eccb68df311a275319a8fd515bd405bbb6031e73dfec4ac84f
 # representation with at most 7 (4,058 solves)
 LIBRARY_DIGESTS = {
     "caterpillar": "5925a58f15a288b906a0ab01b47c16f89b8b5c6510eb1e67555d3542e09f3dc2",
-    "proper": "e60ac2a96a3db424443c60b342cda0af5207aa472680e0621e5fd5f5a0c0d0c8",
+    "proper": "da1097f3fe84bb94ec2f4099609741f47e2bf93527736cc712ecf9f8368825c1",
 }
 
 
@@ -190,7 +194,8 @@ def library_digest(cls: str) -> tuple[str, int]:
             for blue in sets:
                 for red in sets:
                     res = solve(prepared, blue, red)
-                    row = (blue, red, res.status, res.moves, res.reason, res.witness)
+                    moves = None if res.moves is None else tuple(map(tuple, res.moves))
+                    row = (blue, red, res.status, moves, res.reason, res.witness)
                     h.update(f"{row}\n".encode())
                     solves += 1
     return h.hexdigest(), solves

@@ -11,7 +11,6 @@ from tokenslide.generate import (
 )
 from tokenslide.graphs import (
     Graph,
-    Move,
     ReconfigSequence,
     ValidationResult,
     find_strong_twins,
@@ -104,13 +103,13 @@ def test_sibling_leaves_are_not_strong_twins():
 
 def test_validate_single_token_walk():
     g = path_graph(3)
-    seq = ReconfigSequence((1,), (Move(1, 2), Move(2, 3)))
+    seq = ReconfigSequence((1,), ((1, 2), (2, 3)))
     assert validate_sequence(g, [1], [3], seq).ok
 
 
 def test_validate_rejects_non_edge():
     g = path_graph(3)
-    seq = ReconfigSequence((1,), (Move(1, 3),))
+    seq = ReconfigSequence((1,), ((1, 3),))
     res = validate_sequence(g, [1], [3], seq)
     assert not res.ok
     assert res.step == 1
@@ -119,9 +118,9 @@ def test_validate_rejects_non_edge():
 
 def test_validate_order_sensitivity_on_p4():
     g = path_graph(4)
-    good = ReconfigSequence((1, 3), (Move(3, 4), Move(1, 2)))
+    good = ReconfigSequence((1, 3), ((3, 4), (1, 2)))
     assert validate_sequence(g, [1, 3], [2, 4], good).ok
-    bad = ReconfigSequence((1, 3), (Move(1, 2), Move(3, 4)))
+    bad = ReconfigSequence((1, 3), ((1, 2), (3, 4)))
     res = validate_sequence(g, [1, 3], [2, 4], bad)
     assert not res.ok
     assert res.step == 1
@@ -134,13 +133,16 @@ def test_validate_wrong_initial_and_final():
     assert res.reason == "WRONG_INITIAL_SET"
     res = validate_sequence(g, [1], [3], ReconfigSequence((1,), ()))
     assert res.reason == "WRONG_FINAL_SET"
+    # the last step is flagged, also for moves read once from an iterator
+    res = validate_sequence(g, [1], [3], iter([(1, 2)]))
+    assert res == ValidationResult(False, 1, "WRONG_FINAL_SET")
 
 
 def test_validate_source_and_target_occupancy():
     g = path_graph(4)
-    res = validate_sequence(g, [1, 3], [1, 3], ReconfigSequence((1, 3), (Move(2, 3),)))
+    res = validate_sequence(g, [1, 3], [1, 3], ReconfigSequence((1, 3), ((2, 3),)))
     assert res.reason == "SOURCE_NOT_OCCUPIED"
-    res = validate_sequence(g, [1, 4], [1, 4], ReconfigSequence((1, 4), (Move(4, 4),)))
+    res = validate_sequence(g, [1, 4], [1, 4], ReconfigSequence((1, 4), ((4, 4),)))
     assert res.reason in ("TARGET_OCCUPIED", "NOT_AN_EDGE")
 
 
@@ -171,7 +173,7 @@ def random_slides(g, tokens, steps, rng):
             dst = rng.choice(free)
             occupied.remove(src)
             occupied.add(dst)
-            moves.append(Move(src, dst))
+            moves.append((src, dst))
     return moves, occupied
 
 
@@ -192,11 +194,11 @@ def differential_cases(g, rng):
         yield blue, final, ReconfigSequence(tuple(sorted(blue))[1:], tuple(moves))
         for target in (0, -1, n + 1):
             at = rng.randint(0, len(moves))
-            src = moves[at - 1].dst if at else rng.choice(sorted(blue))
-            yield blue, final, moves[:at] + [Move(src, target)] + moves[at:]
+            src = moves[at - 1][1] if at else rng.choice(sorted(blue))
+            yield blue, final, moves[:at] + [(src, target)] + moves[at:]
         for _ in range(4):
             at = rng.randint(0, len(moves))
-            bad = Move(rng.randint(1, n), rng.randint(-1, n + 1))
+            bad = (rng.randint(1, n), rng.randint(-1, n + 1))
             yield blue, final, moves[:at] + [bad] + moves[at:]
         if g.m:
             u, v = rng.choice(g.edges())
@@ -234,7 +236,7 @@ def test_representation_and_graph_verdicts_agree():
 def test_off_range_target_is_not_an_edge(target):
     rep = parse_representation("L1 L2 R1 L3 R2 L4 R3 L5 R4 L6 R5 L7 R6 L8 R7 R8")
     for structure in (rep, Graph.from_representation(rep)):
-        res = validate_sequence(structure, [1], [1], [Move(1, target)])
+        res = validate_sequence(structure, [1], [1], [(1, target)])
         assert res == ValidationResult(False, 1, "NOT_AN_EDGE")
 
 

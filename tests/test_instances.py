@@ -2,7 +2,7 @@
 
 import pytest
 
-from tokenslide.graphs import Move
+from tokenslide.graphs import ReconfigSequence
 from tokenslide.instances import (
     InstanceFormatError,
     parse_instance,
@@ -91,8 +91,24 @@ def test_missing_edge_lines_rejected():
 
 def test_sequence_round_trip():
     seq = parse_sequence("MOVES 2\n1 2\n2 3\n", (1,))
-    assert seq.moves == (Move(1, 2), Move(2, 3))
+    assert seq.moves == ((1, 2), (2, 3))
     assert serialize_sequence(seq) == "MOVES 2\n1 2\n2 3\n"
+
+
+@pytest.mark.parametrize("moves", [((1, 2, 3), (4,)), ((1,),), ((1, 2), (3, 4, 5)), ((),)])
+def test_serialize_sequence_refuses_a_move_that_is_not_a_pair(moves):
+    # ((1, 2, 3), (4,)) flattens to two well-formed pairs; it must not be written
+    with pytest.raises(ValueError, match="pair"):
+        serialize_sequence(ReconfigSequence((1,), moves))
+
+
+def test_serialize_sequence_writes_non_int_vertices_as_given():
+    """A float or bool is written as ``str`` shows it, not truncated to
+    another vertex, so reading the file back fails instead of differing."""
+    text = serialize_sequence(ReconfigSequence((1,), ((2.7, 3), (True, 4))))
+    assert text == "MOVES 2\n2.7 3\nTrue 4\n"
+    with pytest.raises(InstanceFormatError, match="bad move line"):
+        parse_sequence(text, (2,))
 
 
 def test_sequence_count_mismatch_rejected():
@@ -103,3 +119,43 @@ def test_sequence_count_mismatch_rejected():
 def test_sequence_bad_header_rejected():
     with pytest.raises(InstanceFormatError):
         parse_sequence("2\n1 2\n2 3\n", (1,))
+
+
+# Numerals int() takes but the formats refuse: a superscript (int() raises
+# on it), Arabic-Indic and fullwidth digits, an underscore, and signs.
+BAD_NUMERALS = ("²", "١", "３", "1_0", "+3", "-3")
+
+# field: (file text with {} in that field, a numeral that parses there,
+# the message every bad numeral gets); "MOVES" texts are sequence files
+NUMERIC_FIELDS = {
+    "n": ("n {}\nedges 0\nblue 1\nred 1\n", "1", "n line must be 'n <positive integer>'"),
+    "rep": (
+        "n 2\nrep L{} L2 R1 R2\nblue 1\nred 1\n",
+        "1",
+        "rep line, token 1: malformed endpoint token 'L{}'",
+    ),
+    "edges": ("n 3\nedges {}\n1 2\nblue 1\nred 1\n", "1", "edges line must be 'edges <count>'"),
+    "edge": ("n 3\nedges 1\n1 {}\nblue 1\nred 1\n", "2", "bad edge line: '1 {}'"),
+    "blue": ("n 3\nedges 1\n1 2\nblue {}\nred 1\n", "3", "non-integer vertex id in blue line"),
+    "red": ("n 3\nedges 1\n1 2\nblue 1\nred {}\n", "3", "non-integer vertex id in red line"),
+    "MOVES": ("MOVES {}\n2 3\n", "1", "sequence file must start with 'MOVES <count>'"),
+    "move": ("MOVES 1\n2 {}\n", "3", "bad move line: '2 {}'"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NUMERIC_FIELDS))
+def test_numeric_field_takes_ascii_digits_only(field):
+    template, good, message = NUMERIC_FIELDS[field]
+    parse = parse_sequence if field in ("MOVES", "move") else parse_instance
+    args = ((2,),) if parse is parse_sequence else ()
+    parse(template.format(good), *args)
+    for bad in BAD_NUMERALS:
+        with pytest.raises(InstanceFormatError) as err:
+            parse(template.format(bad), *args)
+        assert str(err.value) == message.format(bad), bad
+
+
+def test_bad_rep_token_is_a_format_error_with_its_position():
+    with pytest.raises(InstanceFormatError) as err:
+        parse_instance("n 2\nrep L1 X2 R1 R2\nblue 1\nred 1\n")
+    assert str(err.value) == "rep line, token 2: malformed endpoint token 'X2'"

@@ -18,7 +18,7 @@ from tokenslide.generate import (
     quadratic_path_instance,
 )
 from tokenslide.blocks import BLUE, RED, block_order, boundary_edges, split_blocks
-from tokenslide.graphs import Graph, Move, find_strong_twins, validate_sequence
+from tokenslide.graphs import Graph, find_strong_twins, validate_sequence
 from tokenslide.intervals import IntervalRepresentation, parse_representation
 from tokenslide.oracle import SlideSpace, bfs
 from tokenslide.proper import canonical_order, prepare_proper, solve_proper, token_path
@@ -258,7 +258,7 @@ class TestSchedule:
         for t, direction in emission:
             b, r = WIDE_BLUE[t - 1], WIDE_RED[t - 1]
             step = 1 if direction == "R" else -1
-            expected.extend(Move(v, v + step) for v in range(b, r, step))
+            expected.extend((v, v + step) for v in range(b, r, step))
         res = solve_proper(wide_rep(), WIDE_BLUE, WIDE_RED)
         assert res.moves == tuple(expected)
 
