@@ -43,7 +43,7 @@ rightward block move rightmost-first, leftward blocks leftmost-first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Iterable
+from typing import AbstractSet, Iterable
 
 from .blocks import BLUE, RED, block_order, boundary_edges, split_blocks, travel
 from .graphs import Graph, _components
@@ -177,20 +177,6 @@ def _check_shape(g: Graph, comps: list[list[int]]):
     return structs
 
 
-def _touching(adj):
-    """Adjacency test for check_tokens, straight from adjacency lists."""
-
-    def pair(tokens) -> tuple[int, int] | None:
-        tset = set(tokens)
-        for v in tset:
-            for w in adj[v]:
-                if w in tset:
-                    return min(v, w), max(v, w)
-        return None
-
-    return pair
-
-
 def mark_locked(g: Graph, tokens) -> frozenset[int]:
     """Vertices frozen in place by the token set, over all components.
 
@@ -198,7 +184,7 @@ def mark_locked(g: Graph, tokens) -> frozenset[int]:
     token lies on a locked vertex.  Tokens must form an independent set
     of ``g``; otherwise SolverInputError is raised.
     """
-    tset = set(check_tokens("", tokens, g.n, _touching(g.adj)))
+    tset = set(check_tokens("", tokens, g))
     comps = g.components()
     structs = _check_shape(g, [c for c in comps if len(c) != 2])
     marked: set[int] = set()
@@ -674,12 +660,10 @@ def _recurse(adj, pieces: Iterable[tuple[AbstractSet[int], _Struct | None]],
 class PreparedCaterpillar:
     """Per-graph analysis shared by every token pair: the graph, its
     components sorted by smallest vertex, each as its cell set and its
-    spine and groups (None below three cells), and the token adjacency
-    test."""
+    spine and groups (None below three cells)."""
 
     graph: Graph
     pieces: tuple[tuple[frozenset[int], _Struct | None], ...]
-    touching: Callable[[tuple[int, ...]], tuple[int, int] | None]
 
 
 def prepare_caterpillar(g: Graph) -> PreparedCaterpillar:
@@ -688,7 +672,7 @@ def prepare_caterpillar(g: Graph) -> PreparedCaterpillar:
     comps = g.components()
     structs = _check_shape(g, comps)
     pieces = tuple((frozenset(c), structs.get(c[0])) for c in comps)
-    return PreparedCaterpillar(g, pieces, _touching(g.adj))
+    return PreparedCaterpillar(g, pieces)
 
 
 def solve_caterpillar(
@@ -702,9 +686,8 @@ def solve_caterpillar(
     ``prepare_caterpillar`` value.
     """
     p = g if isinstance(g, PreparedCaterpillar) else prepare_caterpillar(g)
-    n = p.graph.n
-    blue = check_tokens("blue", blue, n, p.touching)
-    red = check_tokens("red", red, n, p.touching)
+    blue = check_tokens("blue", blue, p.graph)
+    red = check_tokens("red", red, p.graph)
     if len(blue) != len(red):
         return no_result("CARDINALITY_MISMATCH", (len(blue), len(red)))
     try:

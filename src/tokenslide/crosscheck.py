@@ -108,9 +108,9 @@ def _judge(
     if isinstance(outcome, SolverInputError):
         solver_s, note = f"ERROR:{outcome.kind}", "solver rejected the instance"
     elif isinstance(outcome, Exception):
-        # the message and the line that raised, kept on one line
+        # the message and the raising function, not its line, on one line
         where = traceback.extract_tb(outcome.__traceback__)[-1]
-        note = f"{outcome} at {Path(where.filename).name}:{where.lineno}"
+        note = f"{outcome} at {Path(where.filename).name} in {where.name}"
         solver_s, note = f"CRASH:{type(outcome).__name__}", " ".join(note.split())
     else:
         # the strings are made only for a disagreement

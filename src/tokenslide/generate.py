@@ -7,7 +7,7 @@ import random
 from itertools import combinations_with_replacement
 from typing import Iterator
 
-from .graphs import Graph, find_strong_twins
+from .graphs import Graph
 from .instances import Instance
 from .intervals import IntervalRepresentation
 from .trivially_perfect import ContainmentForest, containment_forest

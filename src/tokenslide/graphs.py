@@ -67,9 +67,15 @@ class Graph:
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
-    def is_independent(self, vertices: Iterable[int]) -> bool:
-        vs = set(vertices)
-        return all(vs.isdisjoint(self.adj[v]) for v in vs)
+    def touching(self, vertices: Iterable[int]) -> tuple[int, int] | None:
+        """The first adjacent pair among ``vertices``, smaller id first,
+        or None for an independent set."""
+        vs, adj = set(vertices), self.adj
+        for v in vs:
+            if not vs.isdisjoint(adj[v]):
+                w = next(w for w in adj[v] if w in vs)
+                return (v, w) if v < w else (w, v)
+        return None
 
     def bfs_distances(self, source: int) -> list[int]:
         """Distance from source to every vertex; -1 for unreachable.  Index 0 unused."""
@@ -139,10 +145,6 @@ class _AdjacencyTokens:
         self.adj = g.adj
         self.occupied = set(tokens)
 
-    def independent(self) -> bool:
-        occupied, adj = self.occupied, self.adj
-        return all(occupied.isdisjoint(adj[v]) for v in occupied)
-
     def step(self, src: int, dst: int) -> str | None:
         """Slide the token on src to dst, or name the rule the slide breaks."""
         adj = self.adj
@@ -178,9 +180,6 @@ class _RankTokens:
         self.lefts = [lo for lo, _ in spans]
         self.rights = [hi for _, hi in spans]
 
-    def independent(self) -> bool:
-        return all(hi < lo for hi, lo in zip(self.rights, self.lefts[1:]))
-
     def step(self, src: int, dst: int) -> str | None:
         """Slide the token on src to dst, or name the rule the slide breaks."""
         # src holds a token, so it is in range; dst comes straight from a
@@ -214,8 +213,9 @@ def validate_sequence(
     the sequence starts at blue, ends at red, and that every step slides
     one token along an edge into an unoccupied vertex while keeping the
     set independent.  The step index of the first violation is 1-based;
-    step 0 flags a wrong initial set, the last step a wrong final set.
-    Blue vertices outside 1..n raise ValueError.
+    step 0 flags a wrong initial set or one that is not independent, as
+    ``g.touching`` finds it, and the last step a wrong final set.  Blue
+    vertices outside 1..n raise ValueError.
 
     ``g`` is a Graph or an IntervalRepresentation.  A representation is
     checked without building any edge: O(n + k log k) set-up for k
@@ -231,12 +231,12 @@ def validate_sequence(
         seq = seq.moves
     if not all(1 <= v <= g.n for v in blue_set):
         raise ValueError(f"blue vertex out of range 1..{g.n}")
+    if g.touching(blue_set) is not None:
+        return ValidationResult(False, 0, "NOT_INDEPENDENT")
     if isinstance(g, IntervalRepresentation):
         tokens = _RankTokens(g, blue_set)
     else:
         tokens = _AdjacencyTokens(g, blue_set)
-    if not tokens.independent():
-        return ValidationResult(False, 0, "NOT_INDEPENDENT")
     current, advance = tokens.occupied, tokens.step
     step = 0
     for step, (src, dst) in enumerate(seq, start=1):

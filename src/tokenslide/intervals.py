@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import Iterable
 
 
 class GraphClass(Enum):
@@ -39,21 +40,21 @@ class IntervalRepresentation:
         return len(self.events) // 2
 
     @cached_property
-    def left_rank(self) -> list[int]:
-        """1-based rank of each vertex's left endpoint, indexed by vertex id."""
-        ranks = [0] * (self.n + 1)
+    def _ranks(self) -> dict[str, list[int]]:
+        """1-based rank of each vertex's "L" and "R" endpoint, indexed by
+        vertex id; one pass builds both."""
+        ranks = {"L": [0] * (self.n + 1), "R": [0] * (self.n + 1)}
         for rank, (side, vid) in enumerate(self.events, start=1):
-            if side == "L":
-                ranks[vid] = rank
+            ranks[side][vid] = rank
         return ranks
 
-    @cached_property
+    @property
+    def left_rank(self) -> list[int]:
+        return self._ranks["L"]
+
+    @property
     def right_rank(self) -> list[int]:
-        ranks = [0] * (self.n + 1)
-        for rank, (side, vid) in enumerate(self.events, start=1):
-            if side == "R":
-                ranks[vid] = rank
-        return ranks
+        return self._ranks["R"]
 
     def left_order(self) -> list[int]:
         """Vertex ids sorted by left endpoint rank."""
@@ -61,6 +62,17 @@ class IntervalRepresentation:
 
     def right_order(self) -> list[int]:
         return [vid for side, vid in self.events if side == "R"]
+
+    def touching(self, vertices: Iterable[int]) -> tuple[int, int] | None:
+        """The first pair of consecutive intervals in left-endpoint order
+        that meet, earlier one first, or None.  If any two meet, so do two
+        consecutive ones, as disjoint intervals close in their left order."""
+        left, right = self.left_rank, self.right_rank
+        by_left = sorted(vertices, key=left.__getitem__)
+        for a, b in zip(by_left, by_left[1:]):
+            if left[b] < right[a]:
+                return a, b
+        return None
 
     def serialize(self) -> str:
         return " ".join(f"{side}{vid}" for side, vid in self.events)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .graphs import Graph, ReconfigSequence
+from .results import check_tokens
 
 DEFAULT_STATE_CAP = 10_000_000
 
@@ -139,13 +140,10 @@ def bfs(
 
     Explores at most ``cap`` states before giving up with CAP_EXCEEDED.
     On success the sequence replays blue into red in ``distance`` moves.
+    A bad token set raises SolverInputError as the solvers do.
     """
-    start = state_key(blue)
-    goal = state_key(red)
-    if not g.is_independent(start):
-        raise ValueError("blue set is not independent")
-    if not g.is_independent(goal):
-        raise ValueError("red set is not independent")
+    start = state_key(check_tokens("blue", blue, g))
+    goal = state_key(check_tokens("red", red, g))
     if len(start) != len(goal):
         return OracleResult("UNREACHABLE", None, None, 0)
     if start == goal:

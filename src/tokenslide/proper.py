@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
 
 from .blocks import BLUE, RED, block_order, boundary_edges, split_blocks, travel
 from .intervals import GraphClass, IntervalRepresentation
@@ -79,20 +78,6 @@ def _strong_twin_pairs(order, hi, lo) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _touching(order, pos, hi):
-    """Adjacency test for check_tokens: two tokens touch iff the later
-    one by canonical position lies within the earlier one's reach."""
-
-    def pair(tokens) -> tuple[int, int] | None:
-        by_pos = sorted(pos[v] for v in tokens)
-        for a, b in zip(by_pos, by_pos[1:]):
-            if b <= hi[a]:
-                return order[a - 1], order[b - 1]
-        return None
-
-    return pair
-
-
 def _walk(pos, hi, lo, order, frm: int, to: int) -> tuple[int, ...]:
     if frm == to:
         return ()
@@ -121,16 +106,15 @@ def token_path(rep: IntervalRepresentation, frm: int, to: int) -> tuple[int, ...
 
 @dataclass(frozen=True, slots=True)
 class PreparedProper:
-    """Per-graph analysis shared by every token pair: canonical order,
-    positions, neighborhood bounds, the token adjacency test, and the
-    components in left order with each vertex's index among them."""
+    """Per-graph analysis shared by every token pair: the representation,
+    canonical order, positions, neighborhood bounds, and the components
+    in left order with each vertex's index among them."""
 
-    n: int
+    rep: IntervalRepresentation
     order: tuple[int, ...]
     pos: dict[int, int]
     hi: list[int]
     lo: list[int]
-    touching: Callable[[tuple[int, ...]], tuple[int, int] | None]
     segments: list[list[int]]
     component: list[int]
 
@@ -152,9 +136,7 @@ def prepare_proper(rep: IntervalRepresentation) -> PreparedProper:
     for c, segment in enumerate(segments[1:], start=1):
         for v in segment:
             component[v] = c
-    return PreparedProper(
-        rep.n, order, pos, hi, lo, _touching(order, pos, hi), segments, component
-    )
+    return PreparedProper(rep, order, pos, hi, lo, segments, component)
 
 
 def solve_proper(
@@ -171,8 +153,8 @@ def solve_proper(
     ``rep`` may be the representation or its ``prepare_proper`` value.
     """
     p = rep if isinstance(rep, PreparedProper) else prepare_proper(rep)
-    blue = check_tokens("blue", blue, p.n, p.touching)
-    red = check_tokens("red", red, p.n, p.touching)
+    blue = check_tokens("blue", blue, p.rep)
+    red = check_tokens("red", red, p.rep)
     if len(blue) != len(red):
         return no_result("CARDINALITY_MISMATCH", (len(blue), len(red)))
     if len(p.segments) > 1:

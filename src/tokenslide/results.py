@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 
 class SolverInputError(ValueError):
@@ -19,21 +19,18 @@ class SolverInputError(ValueError):
         self.details = details
 
 
-def check_tokens(
-    label: str,
-    tokens: Iterable[int],
-    n: int,
-    touching: Callable[[tuple[int, ...]], tuple[int, int] | None],
-) -> tuple[int, ...]:
+def check_tokens(label: str, tokens: Iterable[int], structure) -> tuple[int, ...]:
     """Read one token set into a tuple and check it against vertices 1..n.
 
-    Raises UNKNOWN_VERTEX for a vertex outside 1..n, and NOT_INDEPENDENT
-    for a vertex listed twice or for two adjacent tokens.  ``touching``
-    is the graph class's own adjacency test: it gets the tuple and
-    returns a witness pair of adjacent tokens, or None.  ``label`` names
-    the set in messages and may be empty.
+    ``structure`` is the Graph or IntervalRepresentation the tokens sit
+    on; its ``n`` bounds the vertex ids and its ``touching`` names an
+    adjacent pair of tokens, or None.  Raises UNKNOWN_VERTEX for a
+    vertex outside 1..n, and NOT_INDEPENDENT for a vertex listed twice
+    or, with that pair as details, for two adjacent tokens.  ``label``
+    names the set in messages and may be empty.
     """
     tokens = tuple(tokens)
+    n = structure.n
     who = f"{label} " if label else ""
     seen: set[int] = set()
     for v in tokens:
@@ -46,7 +43,7 @@ def check_tokens(
                 "NOT_INDEPENDENT", f"{who}lists vertex {v} twice", (v, v)
             )
         seen.add(v)
-    pair = touching(tokens)
+    pair = structure.touching(tokens)
     if pair is not None:
         raise SolverInputError(
             "NOT_INDEPENDENT", f"{who}tokens touch each other", pair

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable
 
 from .intervals import IntervalRepresentation
 from .results import SolveResult, SolverInputError, check_tokens, no_result
@@ -91,20 +90,6 @@ def tp_twin_pairs(forest: ContainmentForest) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(pairs))
 
 
-def _touching(forest: ContainmentForest):
-    """Adjacency test for check_tokens: in preorder, a token touches the
-    next one iff that one starts inside its subtree."""
-
-    def pair(tokens) -> tuple[int, int] | None:
-        by_tin = sorted(tokens, key=lambda v: forest.tin[v])
-        for a, b in zip(by_tin, by_tin[1:]):
-            if forest.tin[b] <= forest.tout[a]:
-                return a, b
-        return None
-
-    return pair
-
-
 def _postorder(forest: ContainmentForest) -> list[int]:
     order: list[int] = []
     for root in forest.roots:
@@ -122,11 +107,11 @@ def _postorder(forest: ContainmentForest) -> list[int]:
 
 @dataclass(frozen=True, slots=True)
 class PreparedTP:
-    """Per-graph analysis shared by every token pair: the containment
-    forest, the token adjacency test and the forest's postorder."""
+    """Per-graph analysis shared by every token pair: the representation,
+    its containment forest and the forest's postorder."""
 
+    rep: IntervalRepresentation
     forest: ContainmentForest
-    touching: Callable[[tuple[int, ...]], tuple[int, int] | None]
     postorder: tuple[int, ...]
 
 
@@ -141,7 +126,7 @@ def prepare_tp(rep: IntervalRepresentation) -> PreparedTP:
             "vertices with identical closed neighborhoods present",
             twins,
         )
-    return PreparedTP(forest, _touching(forest), tuple(_postorder(forest)))
+    return PreparedTP(rep, forest, tuple(_postorder(forest)))
 
 
 def solve_tp(
@@ -153,8 +138,8 @@ def solve_tp(
     may be the representation or its ``prepare_tp`` value."""
     p = rep if isinstance(rep, PreparedTP) else prepare_tp(rep)
     forest = p.forest
-    blue = check_tokens("blue", blue, forest.n, p.touching)
-    red = check_tokens("red", red, forest.n, p.touching)
+    blue = check_tokens("blue", blue, p.rep)
+    red = check_tokens("red", red, p.rep)
     if len(blue) != len(red):
         return no_result("CARDINALITY_MISMATCH", (len(blue), len(red)))
 

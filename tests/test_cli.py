@@ -200,6 +200,13 @@ class TestOracle:
         assert code == 2
         assert out.splitlines()[0] == "CAP_EXCEEDED"
 
+    def test_touching_blue_is_an_input_error(self, tmp_path, capsys):
+        text = "n 4\nedges 3\n1 2\n2 3\n3 4\nblue 1 2\nred 1 3\n"
+        path = write(tmp_path, "inst.txt", text)
+        code, out, err = run(capsys, "oracle", "--in", path)
+        assert (code, out) == (2, "")
+        assert err == "ERROR INPUT: blue tokens touch each other\n"
+
 
 class TestGen:
     def test_gen_solve_verify_pipeline(self, tmp_path, capsys):

@@ -48,8 +48,8 @@ def test_generated_instances_valid(cls, seed):
     g = inst.graph
     assert g.is_connected
     assert len(inst.blue) == 3 and len(inst.red) == 3
-    assert g.is_independent(inst.blue)
-    assert g.is_independent(inst.red)
+    assert g.touching(inst.blue) is None
+    assert g.touching(inst.red) is None
     if cls == "proper":
         assert inst.rep.classify() is GraphClass.PROPER
         assert find_strong_twins(g) == []

@@ -11,8 +11,11 @@ schedulers came to share one block layer.  The library rows hash each
 move as a plain ``(src, dst)`` tuple, so they pin the schedule and not the
 type that carries a move; the proper digest was re-recorded for that,
 before moves became plain pairs, and the caterpillar digest, whose moves
-were plain pairs already, came out unchanged.  A change that is meant to
-alter generated instances or schedules must re-record them and say why.
+were plain pairs already, came out unchanged.  The witness digest, of
+the NOT_INDEPENDENT details every solver reports for a blue set that is
+not independent, was recorded before the token checks came to share one
+adjacency test per structure.  A change that is meant to alter generated
+instances, schedules or witnesses must re-record them and say why.
 """
 
 import hashlib
@@ -26,12 +29,15 @@ from tokenslide.generate import (
     enumerate_caterpillar_graphs,
     enumerate_independent_sets,
     enumerate_proper_representations,
+    enumerate_tp_representations,
     gen_instance,
 )
 from tokenslide.graphs import Graph, find_strong_twins
 from tokenslide.instances import Instance, serialize_instance
 from tokenslide.intervals import IntervalRepresentation
 from tokenslide.proper import prepare_proper, solve_proper
+from tokenslide.results import SolverInputError
+from tokenslide.trivially_perfect import prepare_tp, solve_tp
 
 SIZES = (3, 9, 24, 300)
 TOKENS = (1, 3, 7)
@@ -96,6 +102,12 @@ LIBRARY_DIGESTS = {
     "caterpillar": "5925a58f15a288b906a0ab01b47c16f89b8b5c6510eb1e67555d3542e09f3dc2",
     "proper": "da1097f3fe84bb94ec2f4099609741f47e2bf93527736cc712ecf9f8368825c1",
 }
+
+# token-check outcomes (kind, details, message) for every vertex subset as
+# blue against red (1,): on every twin-free proper and tp representation
+# and every caterpillar with at most 6 vertices, each also with its ids
+# reversed, so a witness pair's order is pinned too (1,650 rejected sets)
+WITNESS_DIGEST = "dd08a3003202819469251a3661548c78d41f1a7247ee8fa8b11e15347166da09"
 
 
 def instances_digest(cls: str) -> str:
@@ -201,6 +213,50 @@ def library_digest(cls: str) -> tuple[str, int]:
     return h.hexdigest(), solves
 
 
+def witness_structures():
+    """(label, structure, solver, prepare): both id orders of each graph."""
+    for n in range(1, 7):
+        reps = [
+            rep
+            for rep in enumerate_proper_representations(n)
+            if not find_strong_twins(Graph.from_representation(rep))
+        ]
+        for label, family, solve, prepare in (
+            ("proper", reps, solve_proper, prepare_proper),
+            ("tp", enumerate_tp_representations(n), solve_tp, prepare_tp),
+        ):
+            for rep in family:
+                flipped = tuple((side, n + 1 - v) for side, v in rep.events)
+                for r in (rep, IntervalRepresentation(flipped)):
+                    yield f"{label} {r.serialize()}", r, solve, prepare
+        for g in enumerate_caterpillar_graphs(n):
+            flipped = [(n + 1 - u, n + 1 - v) for u, v in g.edges()]
+            for h in (g, Graph(n, flipped)):
+                yield f"caterpillar {n} {h.edges()}", h, solve_caterpillar, prepare_caterpillar
+
+
+def witness_digest() -> tuple[str, int]:
+    h = hashlib.sha256()
+    rejected = 0
+    for label, structure, solve, prepare in witness_structures():
+        try:
+            prepared = prepare(structure)
+        except SolverInputError as err:
+            h.update(f"{label} {err.kind}\n".encode())
+            continue
+        n = structure.n
+        for mask in range(1 << n):
+            blue = tuple(v for v in range(1, n + 1) if mask >> (v - 1) & 1)
+            try:
+                solve(prepared, blue, (1,), decide=True)
+                row = (label, blue, None, None, None)
+            except SolverInputError as err:
+                row = (label, blue, err.kind, err.details, str(err))
+                rejected += 1
+            h.update(f"{row}\n".encode())
+    return h.hexdigest(), rejected
+
+
 @pytest.mark.parametrize("cls", sorted(INSTANCE_DIGESTS))
 def test_generated_instances_match_digest(cls):
     assert instances_digest(cls) == INSTANCE_DIGESTS[cls]
@@ -221,3 +277,7 @@ def test_cli_oracle_output_matches_digest(tmp_path, capsys):
 @pytest.mark.parametrize("cls,solves", [("caterpillar", 27_848), ("proper", 4_058)])
 def test_library_schedules_match_digest(cls, solves):
     assert library_digest(cls) == (LIBRARY_DIGESTS[cls], solves)
+
+
+def test_not_independent_witnesses_match_digest():
+    assert witness_digest() == (WITNESS_DIGEST, 1_650)

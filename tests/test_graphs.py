@@ -64,12 +64,13 @@ def test_components_and_connectivity():
     assert path_graph(4).is_connected
 
 
-def test_is_independent():
+def test_touching_names_an_adjacent_pair():
     g = path_graph(4)
-    assert g.is_independent({1, 3})
-    assert g.is_independent({1, 4})
-    assert not g.is_independent({2, 3})
-    assert g.is_independent(set())
+    assert g.touching({1, 3}) is None
+    assert g.touching({1, 4}) is None
+    assert g.touching({3, 2}) == (2, 3)
+    assert g.touching({1, 3, 4}) == (3, 4)
+    assert g.touching(set()) is None
 
 
 def test_bfs_distances():
@@ -217,6 +218,11 @@ def test_representation_and_graph_verdicts_agree():
         for blue, red, seq in differential_cases(g, rng):
             expected = validate_sequence(g, blue, red, seq)
             assert validate_sequence(rep, blue, red, seq) == expected, (rep.serialize(), blue, red, seq)
+            for tokens in (blue, red):
+                pairs = rep.touching(tokens), g.touching(tokens)
+                assert (pairs[0] is None) == (pairs[1] is None), (rep.serialize(), tokens)
+                for pair in pairs:
+                    assert pair is None or pair[1] in g.adj[pair[0]]
             reasons.add((expected.reason, expected.step == 0))
             cases += 1
     assert cases > 10_000

@@ -1,5 +1,5 @@
-"""The token-set check shared by all solvers: token sets may arrive as
-any iterable, and each one is read exactly once."""
+"""The token-set check shared by all solvers and the oracle: token sets
+may arrive as any iterable, and each one is read exactly once."""
 
 import pytest
 
@@ -7,6 +7,7 @@ from tokenslide.caterpillar import mark_locked, solve_caterpillar
 from tokenslide.generate import path_representation
 from tokenslide.graphs import Graph
 from tokenslide.intervals import parse_representation
+from tokenslide.oracle import bfs
 from tokenslide.proper import solve_proper
 from tokenslide.results import SolverInputError
 from tokenslide.trivially_perfect import solve_tp
@@ -17,6 +18,7 @@ P6_GRAPH = Graph.from_representation(P6)
 STAR = parse_representation("L1 L2 R2 L3 R3 L4 R4 R1")
 # spine 1-2-3 with end leaves 4 and 5; leaf, middle, leaf is a wall
 WALL5 = Graph(5, [(1, 2), (2, 3), (1, 4), (3, 5)])
+P4_GRAPH = Graph.from_representation(path_representation(4))
 
 CASES = [
     (solve_proper, P6, (1, 3), (4, 6)),
@@ -28,6 +30,9 @@ CASES = [
     (solve_tp, STAR, (2, 3), (3, 4)),
     (solve_tp, STAR, (1, 2), (3, 4)),
     (solve_tp, STAR, (2, 3), (0, 4)),
+    (bfs, P6_GRAPH, (1, 3), (4, 6)),
+    (bfs, P6_GRAPH, (1, 2), (4, 6)),
+    (bfs, P6_GRAPH, (1, 3), (4, 7)),
 ]
 
 
@@ -68,3 +73,23 @@ def test_mark_locked_checks_the_token_set(tokens, kind):
     with pytest.raises(SolverInputError) as exc:
         mark_locked(WALL5, tokens)
     assert exc.value.kind == kind
+
+
+@pytest.mark.parametrize(
+    "tokens, kind",
+    [
+        ((1, 1), "NOT_INDEPENDENT"),
+        ((0,), "UNKNOWN_VERTEX"),
+        ((5,), "UNKNOWN_VERTEX"),
+        ((-1,), "UNKNOWN_VERTEX"),
+        ((1, 2), "NOT_INDEPENDENT"),
+    ],
+)
+def test_bfs_rejects_a_bad_set_like_the_solvers(tokens, kind):
+    good = (1, 3) if len(tokens) == 2 else (1,)
+    for blue, red in ((tokens, good), (good, tokens)):
+        with pytest.raises(SolverInputError) as exc:
+            bfs(P4_GRAPH, blue, red)
+        assert exc.value.kind == kind
+        expected = outcome(solve_caterpillar, P4_GRAPH, blue, red)
+        assert outcome(bfs, P4_GRAPH, blue, red) == expected
