@@ -43,17 +43,13 @@ rightward block move rightmost-first, leftward blocks leftmost-first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable
+from itertools import compress
+from operator import itemgetter
+from typing import AbstractSet, NamedTuple
 
 from .blocks import BLUE, RED, block_order, boundary_edges, split_blocks, travel
 from .graphs import Graph, _components
-from .results import (
-    SolveResult,
-    SolverInputError,
-    check_tokens,
-    no_result,
-    yes_result,
-)
+from .results import SolveResult, SolverInputError, check_tokens, no_result, yes_result
 
 _MAKE_WAY_LIMIT = 64
 
@@ -67,133 +63,120 @@ class _Unreachable(Exception):
         self.witness = witness
 
 
-# a piece's spine and the leaves of each spine cell
-_Struct = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
+class _Struct(NamedTuple):
+    """A piece's spine (in path order, smaller end first), the leaves of
+    each spine cell, and the group index of every cell."""
+
+    spine: tuple[int, ...]
+    leaves: tuple[tuple[int, ...], ...]
+    group: dict[int, int]
 
 
-def _structure(adj, cells: AbstractSet[int]) -> _Struct:
-    """Spine (in path order, smaller end first) and per-group leaf lists.
+def _structure(adj, comp: list[int], cells: AbstractSet[int] | None = None) -> _Struct:
+    """Analyse a piece whose cells, ``comp`` in ascending order, induce a
+    tree with at least three vertices.
 
-    ``cells`` must induce a tree with at least three vertices; raises
-    NOT_CATERPILLAR when the non-leaf core is not a path.
+    ``cells`` is their set when the piece is what a cut left of a
+    component, and None for a whole component, all of whose neighbours
+    lie inside it.  Raises NOT_CATERPILLAR when the non-leaf core is not
+    a path.
     """
-    deg = {v: sum(1 for w in adj[v] if w in cells) for v in cells}
-    core = sorted(v for v in cells if deg[v] >= 2)
+    if cells is not None:
+        adj = {v: tuple(filter(cells.__contains__, adj[v])) for v in comp}
+    deg = list(map(len, map(adj.__getitem__, comp)))
+    core = list(compress(comp, map((1).__lt__, deg)))
+    tips = list(compress(comp, map((1).__eq__, deg)))
     core_set = set(core)
-    cdeg = {v: sum(1 for w in adj[v] if w in core_set) for v in core}
-    if any(d > 2 for d in cdeg.values()):
-        raise SolverInputError(
-            "NOT_CATERPILLAR", "non-leaf vertices do not form a path"
-        )
-    if len(core) == 1:
-        spine = core
-    else:
-        ends = [v for v in core if cdeg[v] <= 1]
-        spine = [min(ends)]
-        prev = None
-        while True:
-            nxt = [w for w in adj[spine[-1]] if w in core_set and w != prev]
-            if not nxt:
-                break
-            prev = spine[-1]
-            spine.append(nxt[0])
-        if len(spine) != len(core):
-            raise SolverInputError(
-                "NOT_CATERPILLAR", "non-leaf vertices do not form a path"
-            )
-    leaves = tuple(
-        tuple(sorted(w for w in adj[s] if w in cells and w not in core_set))
-        for s in spine
-    )
-    return tuple(spine), leaves
+    # walk the core both ways from its smallest vertex; a fork stops the
+    # walk short of some core vertex
+    within = core_set.intersection
+    halves: list[list[int]] = []
+    for nxt in sorted(within(adj[core[0]])) or [None]:
+        half, prev, cur = [], core[0], nxt
+        while cur is not None:
+            half.append(cur)
+            ahead = within(adj[cur])
+            ahead.discard(prev)
+            prev, cur = cur, (ahead.pop() if len(ahead) == 1 else None)
+        halves.append(half)
+    path = halves[0][::-1] + [core[0]] + (halves[1] if len(halves) > 1 else [])
+    if len(path) != len(core):
+        raise SolverInputError("NOT_CATERPILLAR", "non-leaf vertices do not form a path")
+    spine = min(path, path[::-1])  # smaller end first
+    group = dict(zip(spine, range(len(spine))))
+    at = list(map(group.__getitem__, map(itemgetter(0), map(adj.__getitem__, tips))))
+    group.update(zip(tips, at))
+    leaves: list[tuple[int, ...]] = [()] * len(spine)
+    for t, i in zip(tips, at):
+        leaves[i] += (t,)
+    return _Struct(tuple(spine), tuple(leaves), group)
 
 
-def _mark(spine, leaves, tset: set[int]) -> set[int]:
-    """Locked cells of one caterpillar piece under token set ``tset``.
+def _leaf_tokens(struct: _Struct, tset) -> dict[int, list[int]]:
+    """The tokens of ``tset`` that sit on leaves, keyed by group index."""
+    spine, group = struct.spine, struct.group
+    tok: dict[int, list[int]] = {}
+    for v in tset:
+        i = group[v]
+        if spine[i] != v:
+            tok.setdefault(i, []).append(v)
+    return tok
+
+
+def _mark(struct: _Struct, tset, tok: dict[int, list[int]]) -> set[int]:
+    """Locked cells of one caterpillar piece under token set ``tset``,
+    whose leaf tokens ``tok`` holds by group.
 
     A group with two or more leaf tokens is locked outright.  A wall
     starts at a group with a leaf token and walks outward: at odd
     offsets the spine cell must carry a token and the group must be
     bare of leaves (a free leaf would let that token escape), at even
-    offsets a leaf token seals the wall and anchors the next segment.
-    Free leaves at even offsets are merely unusable and do not stop
-    the wall.
+    offsets a leaf token seals the wall and anchors the next segment,
+    whose own walk goes on from there.  Free leaves at even offsets are
+    merely unusable and do not stop the wall.
     """
+    spine, leaves = struct.spine, struct.leaves
     m = len(spine)
-    tok = [tuple(l for l in leaves[i] if l in tset) for i in range(m)]
     marked: set[int] = set()
-    for i in range(m):
-        if len(tok[i]) >= 2:
+    for i, t in tok.items():
+        if len(t) >= 2:
             marked.add(spine[i])
-            marked.update(tok[i])
-    for start in range(m):
-        if not tok[start]:
-            continue
+            marked.update(t)
+    for start in sorted(tok):
         for d in (1, -1):
-            anchor = start
             j = start + d
             offset = 1
             while 0 <= j < m:
                 if offset % 2 == 1:
                     if spine[j] not in tset or leaves[j]:
                         break
-                else:
-                    if tok[j]:
-                        lo, hi = sorted((anchor, j))
-                        marked.update(spine[lo:hi + 1])
-                        marked.update(tok[anchor])
-                        marked.update(tok[j])
-                        anchor = j
-                        offset = 0
-                    elif spine[j] in tset:
-                        break
+                elif j in tok:
+                    marked.update(spine[min(start, j):max(start, j) + 1])
+                    marked.update(tok[start])
+                    marked.update(tok[j])
+                    break
+                elif spine[j] in tset:
+                    break
                 j += d
                 offset += 1
     return marked
 
 
-def _check_shape(g: Graph, comps: list[list[int]]):
-    """Validate every component and hand back its spine analysis keyed
-    by smallest cell, so the solve proper does not redo the work."""
-    twins = []
-    structs: dict[int, _Struct] = {}
-    for comp in comps:
-        cs = set(comp)
-        within = sum(1 for v in comp for w in g.adj[v] if w in cs) // 2
-        if within != len(comp) - 1:
-            raise SolverInputError(
-                "CYCLIC", "graph contains a cycle", (comp[0],)
-            )
-        if len(comp) == 2:
-            twins.append((comp[0], comp[1]))
-        elif len(comp) >= 3:
-            structs[comp[0]] = _structure(g.adj, cs)
-    if twins:
-        raise SolverInputError(
-            "STRONG_TWINS",
-            "two-vertex components are twin pairs",
-            tuple(twins),
-        )
-    return structs
-
-
-def mark_locked(g: Graph, tokens) -> frozenset[int]:
+def mark_locked(g: Graph | PreparedCaterpillar, tokens) -> frozenset[int]:
     """Vertices frozen in place by the token set, over all components.
 
     A token set is stuck (no legal slide exists) exactly when every
-    token lies on a locked vertex.  Tokens must form an independent set
-    of ``g``; otherwise SolverInputError is raised.
+    token lies on a locked vertex.  ``g`` may be the graph or its
+    ``prepare_caterpillar`` value; a graph raises the structural
+    SolverInputError that prepare_caterpillar would.  Tokens must form
+    an independent set of the graph; otherwise SolverInputError is
+    raised.
     """
-    tset = set(check_tokens("", tokens, g))
-    comps = g.components()
-    structs = _check_shape(g, [c for c in comps if len(c) != 2])
+    p = g if isinstance(g, PreparedCaterpillar) else prepare_caterpillar(g)
     marked: set[int] = set()
-    for comp in comps:
-        if len(comp) == 1:
-            if comp[0] in tset:
-                marked.add(comp[0])
-        elif len(comp) >= 3:
-            marked |= _mark(*structs[comp[0]], tset)
+    for (_, _, struct), mine, _ in _by_piece(p, check_tokens("", tokens, p.graph), ()):
+        # a piece without a spine is an isolated vertex
+        marked |= mine if struct is None else _mark(struct, mine, _leaf_tokens(struct, mine))
     return frozenset(marked)
 
 
@@ -209,12 +192,10 @@ class _Token:
 class _Scheduler:
     """Emits one piece's schedule by simulating the actual slides."""
 
-    def __init__(self, adj, spine, leaves, group, pairs):
+    def __init__(self, adj, struct: _Struct, pairs):
         self.adj = adj
-        self.spine = spine
-        self.leaves = leaves
-        self.spine_set = set(spine)
-        self.group = group
+        self.spine, self.leaves, self.group = struct
+        self.spine_set = set(self.spine)
         self.tokens = [_Token(b, r) for b, r in pairs]
         self.occupied = {t.current: t for t in self.tokens}
         self.owner = {t.target: t for t in self.tokens}
@@ -232,13 +213,6 @@ class _Scheduler:
         self.occupied[dst] = token
         token.current = dst
         self.out.append((src, dst))
-
-    def _pending(self, cell: int) -> bool:
-        own = self.owner.get(cell)
-        return own is not None and own.current != cell
-
-    def _free_leaves(self, gi: int):
-        return [l for l in self.leaves[gi] if l not in self.occupied]
 
     def _push(self, token: _Token, dirn: int, clean: bool = False) -> bool:
         """Slide ``token`` one spine cell along ``dirn``, shoving a
@@ -278,9 +252,10 @@ class _Scheduler:
                 return True
         elif (gt > gi) == (dirn > 0) and self._push(token, dirn):
             return True
-        free = self._free_leaves(gi)
+        free = [l for l in self.leaves[gi] if l not in self.occupied]
         for l in free:
-            if not self._pending(l):
+            own = self.owner.get(l)
+            if own is None or own.current == l:  # nobody still heading there
                 self._emit(token, l)
                 return True
         if self._push(token, dirn, clean=True):
@@ -559,16 +534,7 @@ class _Scheduler:
             progress = False
             for token in rest:
                 route = self._route(token)
-                probe = token.current
-                ok = True
-                for nxt in route:
-                    if nxt in self.occupied or any(
-                        w != probe and w in self.occupied for w in self.adj[nxt]
-                    ):
-                        ok = False
-                        break
-                    probe = nxt
-                if ok:
+                if all(map(self._legal, [token.current, *route], route)):
                     for nxt in route:
                         self._emit(token, nxt)
                     progress = True
@@ -592,87 +558,113 @@ def _border_edges(blocks, spine) -> list[tuple[int, int]]:
     return edges
 
 
-def _piece_moves(adj, cells: AbstractSet[int], bset: set[int], rset: set[int],
-                 decide: bool, struct: _Struct | None) -> list[tuple[int, int]]:
+def _piece_moves(adj, piece: _Piece, bset: set[int], rset: set[int],
+                 decide: bool) -> list[tuple[int, int]]:
+    comp, cells, struct = piece
     if len(bset) != len(rset):
-        raise _Unreachable("COMPONENT_UNBALANCED", (min(cells),))
+        raise _Unreachable("COMPONENT_UNBALANCED", (comp[0],))
     if bset == rset:
         return []
     if len(cells) == 2:
-        (b,) = bset
-        (r,) = rset
+        (b,), (r,) = bset, rset
         return [(b, r)]
-    spine, leaves = struct if struct is not None else _structure(adj, cells)
+    if struct is None:
+        struct = _structure(adj, comp, cells)
+    spine, leaves, group = struct
+    tok_b, tok_r = _leaf_tokens(struct, bset), _leaf_tokens(struct, rset)
 
     doomed: list[int] = []
-    for i, s in enumerate(spine):
-        b_i = {l for l in leaves[i] if l in bset}
-        r_i = {l for l in leaves[i] if l in rset}
+    for i in sorted(tok_b.keys() | tok_r.keys()):
+        b_i, r_i = set(tok_b.get(i, ())), set(tok_r.get(i, ()))
         if len(b_i) >= 2 or len(r_i) >= 2:
             if b_i != r_i:
-                raise _Unreachable("TWIN_LEAVES_BLOCKED", (s,))
-            assert s not in bset and s not in rset
+                raise _Unreachable("TWIN_LEAVES_BLOCKED", (spine[i],))
+            assert spine[i] not in bset and spine[i] not in rset
             doomed.append(i)
     if doomed:
-        cut = set()
-        for i in doomed:
-            cut.add(spine[i])
-            cut.update(leaves[i])
-        return _recurse(adj, _pieces(adj, cells - cut), bset, rset, decide)
+        cut = {v for i in doomed for v in (spine[i], *leaves[i])}
+        return _recurse(adj, cells - cut, bset, rset, decide)
 
-    locked_b = _mark(spine, leaves, bset)
-    locked_r = _mark(spine, leaves, rset)
+    locked_b = _mark(struct, bset, tok_b)
+    locked_r = _mark(struct, rset, tok_r)
     if locked_b != locked_r:
-        raise _Unreachable(
-            "LOCK_MISMATCH", tuple(sorted(locked_b ^ locked_r))
-        )
+        raise _Unreachable("LOCK_MISMATCH", tuple(sorted(locked_b ^ locked_r)))
     if locked_b:
         assert bset & locked_b == rset & locked_b
-        return _recurse(adj, _pieces(adj, cells - locked_b), bset, rset, decide)
+        return _recurse(adj, cells - locked_b, bset, rset, decide)
 
     if decide:
         return []
     # at most one token of a colour per group, so the group index alone
     # orders a colour class totally
-    group = {v: i for i, s in enumerate(spine) for v in (s, *leaves[i])}
-    pairs = list(zip(
-        sorted(bset, key=group.__getitem__),
-        sorted(rset, key=group.__getitem__),
-    ))
-    return _Scheduler(adj, spine, leaves, group, pairs).run()
+    pairs = zip(sorted(bset, key=group.__getitem__), sorted(rset, key=group.__getitem__))
+    return _Scheduler(adj, struct, pairs).run()
 
 
-def _pieces(adj, cells: AbstractSet[int]) -> list[tuple[set[int], None]]:
-    """What is left of a piece after a cut, as pieces with no spine
-    analysis yet."""
-    return [(set(comp), None) for comp in _components(adj, cells)]
-
-
-def _recurse(adj, pieces: Iterable[tuple[AbstractSet[int], _Struct | None]],
-             bset: set[int], rset: set[int], decide: bool) -> list[tuple[int, int]]:
+def _recurse(adj, cells: AbstractSet[int], bset: set[int], rset: set[int],
+             decide: bool) -> list[tuple[int, int]]:
+    """Solve what is left of a piece after a cut, piece by piece; the
+    pieces get their spine analysis only when their tokens move."""
     out: list[tuple[int, int]] = []
-    for cells, struct in pieces:
-        out.extend(_piece_moves(adj, cells, bset & cells, rset & cells, decide, struct))
+    for comp in _components(adj, cells):
+        piece = set(comp)
+        out += _piece_moves(adj, (comp, piece, None), bset & piece, rset & piece, decide)
     return out
+
+
+# a piece's cells in ascending order and as a set, and its analysis
+_Piece = tuple[list[int], AbstractSet[int], _Struct | None]
 
 
 @dataclass(frozen=True, slots=True)
 class PreparedCaterpillar:
-    """Per-graph analysis shared by every token pair: the graph, its
-    components sorted by smallest vertex, each as its cell set and its
-    spine and groups (None below three cells)."""
+    """Per-graph analysis shared by every token pair: the graph and its
+    components sorted by smallest vertex, each as its sorted cells, its
+    cell set and its ``_Struct`` (None below three cells).
+    ``piece_of`` maps each vertex to its component's index when there
+    is more than one."""
 
     graph: Graph
-    pieces: tuple[tuple[frozenset[int], _Struct | None], ...]
+    pieces: tuple[_Piece, ...]
+    piece_of: dict[int, int] | None
 
 
 def prepare_caterpillar(g: Graph) -> PreparedCaterpillar:
     """Analyse the graph once; raises the structural SolverInputError
     (CYCLIC, STRONG_TWINS, NOT_CATERPILLAR) that solve_caterpillar would."""
+    adj = g.adj
     comps = g.components()
-    structs = _check_shape(g, comps)
-    pieces = tuple((frozenset(c), structs.get(c[0])) for c in comps)
-    return PreparedCaterpillar(g, pieces)
+    pieces: list[_Piece] = []
+    twins = []
+    for comp in comps:
+        # a whole component is a tree iff its degrees sum to 2 (size - 1)
+        if sum(map(len, map(adj.__getitem__, comp))) != 2 * len(comp) - 2:
+            raise SolverInputError("CYCLIC", "graph contains a cycle", (comp[0],))
+        if len(comp) == 2:
+            twins.append((comp[0], comp[1]))
+        elif len(comp) >= 3:
+            struct = _structure(adj, comp)
+            pieces.append((comp, struct.group.keys(), struct))
+        else:
+            pieces.append((comp, frozenset(comp), None))
+    if twins:
+        raise SolverInputError(
+            "STRONG_TWINS", "two-vertex components are twin pairs", tuple(twins)
+        )
+    piece_of = {v: i for i, comp in enumerate(comps) for v in comp} if len(comps) > 1 else None
+    return PreparedCaterpillar(g, tuple(pieces), piece_of)
+
+
+def _by_piece(p: PreparedCaterpillar, blue, red):
+    """(piece, its blue tokens, its red tokens) for every piece that
+    holds a token, in piece order; one lookup per token."""
+    if p.piece_of is None:
+        return [(p.pieces[0], set(blue), set(red))] if p.pieces else []
+    split: dict[int, tuple[set[int], set[int]]] = {}
+    for colour, tokens in enumerate((blue, red)):
+        for v in tokens:
+            split.setdefault(p.piece_of[v], (set(), set()))[colour].add(v)
+    return [(p.pieces[i], *split[i]) for i in sorted(split)]
 
 
 def solve_caterpillar(
@@ -683,15 +675,20 @@ def solve_caterpillar(
 
     With ``decide=True`` only the YES/NO answer is computed and
     ``moves`` is None.  ``g`` may be the graph or its
-    ``prepare_caterpillar`` value.
+    ``prepare_caterpillar`` value.  On a prepared value, deciding a pair
+    of k tokens costs O(k log k) after the token check, unless frozen
+    groups or locked walls are cut out: what is left is then reanalysed.
     """
     p = g if isinstance(g, PreparedCaterpillar) else prepare_caterpillar(g)
     blue = check_tokens("blue", blue, p.graph)
     red = check_tokens("red", red, p.graph)
     if len(blue) != len(red):
         return no_result("CARDINALITY_MISMATCH", (len(blue), len(red)))
+    adj = p.graph.adj
+    moves: list[tuple[int, int]] = []
     try:
-        moves = _recurse(p.graph.adj, p.pieces, set(blue), set(red), decide)
+        for piece, bset, rset in _by_piece(p, blue, red):
+            moves.extend(_piece_moves(adj, piece, bset, rset, decide))
     except _Unreachable as answer:
         return no_result(answer.reason, answer.witness)
     if decide:

@@ -214,8 +214,8 @@ def validate_sequence(
     one token along an edge into an unoccupied vertex while keeping the
     set independent.  The step index of the first violation is 1-based;
     step 0 flags a wrong initial set or one that is not independent, as
-    ``g.touching`` finds it, and the last step a wrong final set.  Blue
-    vertices outside 1..n raise ValueError.
+    ``g.touching`` finds it, and the last step a wrong final set.  A
+    blue or red vertex outside 1..n, or listed twice, raises ValueError.
 
     ``g`` is a Graph or an IntervalRepresentation.  A representation is
     checked without building any edge: O(n + k log k) set-up for k
@@ -223,14 +223,17 @@ def validate_sequence(
     rank ranges overlap.  Both inputs give the same verdicts, with one
     ``step`` call per move.
     """
-    blue_set = set(blue)
-    red_set = set(red)
+    blue, red = tuple(blue), tuple(red)
+    blue_set, red_set = set(blue), set(red)
     if isinstance(seq, ReconfigSequence):
         if set(seq.initial) != blue_set:
             return ValidationResult(False, 0, "WRONG_INITIAL_SET")
         seq = seq.moves
-    if not all(1 <= v <= g.n for v in blue_set):
-        raise ValueError(f"blue vertex out of range 1..{g.n}")
+    for label, tokens, vs in (("blue", blue, blue_set), ("red", red, red_set)):
+        if len(vs) != len(tokens):
+            raise ValueError(f"{label} lists a vertex twice")
+        if vs and (min(vs) < 1 or max(vs) > g.n):
+            raise ValueError(f"{label} vertex out of range 1..{g.n}")
     if g.touching(blue_set) is not None:
         return ValidationResult(False, 0, "NOT_INDEPENDENT")
     if isinstance(g, IntervalRepresentation):

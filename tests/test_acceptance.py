@@ -4,15 +4,16 @@ One test per guarantee the package makes: totality on proper interval
 graphs, exact agreement with exhaustive search on all three classes,
 the quadratic path family, the two-slides-per-token bound on trivially
 perfect graphs, the stuck-iff-locked characterisation on caterpillars,
-reversibility, and coarse linear scaling of the decision mode and of
-verification.  Each is written against the public API only.
+reversibility, coarse linear scaling of the decision mode and of
+verification, and a per-pair caterpillar decide that does not grow with
+n.  Each is written against the public API only.
 """
 
 import gc
 import random
 import time
 
-from tokenslide.caterpillar import mark_locked, solve_caterpillar
+from tokenslide.caterpillar import mark_locked, prepare_caterpillar, solve_caterpillar
 from tokenslide.crosscheck import crosscheck
 from tokenslide.generate import (
     GenerationError,
@@ -223,6 +224,52 @@ def test_decision_mode_stays_linear_on_many_frozen_groups():
             gc.enable()
             assert res.yes
         best_ratio = min(best_ratio, cpu[48_000] / cpu[24_000])
+    assert best_ratio < 3.0, best_ratio
+
+
+def walk_red(g, blue, steps, rng):
+    """Token set reached from blue by up to ``steps`` random legal slides."""
+    occupied = set(blue)
+    tokens = sorted(occupied)
+    for _ in range(steps):
+        i = rng.randrange(len(tokens))
+        u = tokens[i]
+        v = rng.choice(g.adj[u])
+        if v not in occupied and all(w == u or w not in occupied for w in g.adj[v]):
+            occupied.remove(u)
+            occupied.add(v)
+            tokens[i] = v
+    return tuple(sorted(occupied))
+
+
+def test_prepared_decide_cost_does_not_grow_with_n():
+    """Deciding one token pair on a prepared caterpillar costs O(k log k),
+    not O(n): with k = 50 and random-walk reds, a prepared n = 100,000
+    caterpillar answers in less than three times the CPU time of a
+    prepared n = 10,000 one.  Timed like
+    test_decision_mode_runs_in_linear_time, over twenty reds per size.
+    """
+    runs = {}
+    for n in (10_000, 100_000):
+        inst = gen_instance("caterpillar", n, 50, seed=3)
+        prepared = prepare_caterpillar(inst.graph)
+        rng = random.Random(f"prepared {n}")
+        reds = [walk_red(inst.graph, inst.blue, 300, rng) for _ in range(20)]
+        runs[n] = lambda p=prepared, blue=inst.blue, reds=reds: [
+            solve_caterpillar(p, blue, red, decide=True) for red in reds
+        ]
+    best_ratio = float("inf")
+    for _ in range(9):
+        cpu = {}
+        for n, fn in runs.items():
+            gc.collect()
+            gc.disable()
+            c = time.process_time()
+            answers = fn()
+            cpu[n] = time.process_time() - c
+            gc.enable()
+            assert all(res.yes for res in answers)
+        best_ratio = min(best_ratio, cpu[100_000] / max(cpu[10_000], 1e-9))
     assert best_ratio < 3.0, best_ratio
 
 

@@ -6,7 +6,7 @@ with the exhaustive breadth-first oracle before the solver existed.
 
 import pytest
 
-from tokenslide.caterpillar import mark_locked, solve_caterpillar
+from tokenslide.caterpillar import mark_locked, prepare_caterpillar, solve_caterpillar
 from tokenslide.generate import (
     enumerate_caterpillar_graphs,
     enumerate_independent_sets,
@@ -239,8 +239,17 @@ class TestMarkLocked:
     def test_isolated_vertex_token(self):
         assert mark_locked(Graph(1, ()), (1,)) == frozenset({1})
 
-    def test_single_edge_never_locks(self):
-        assert mark_locked(Graph(2, [(1, 2)]), (1,)) == frozenset()
+    def test_single_edge_is_a_twin_pair(self):
+        # mark_locked prepares the graph as solve_caterpillar does
+        with pytest.raises(SolverInputError) as err:
+            mark_locked(Graph(2, [(1, 2)]), (1,))
+        assert err.value.kind == "STRONG_TWINS"
+        assert err.value.details == ((1, 2),)
+
+    def test_prepared_value_marks_like_the_graph(self):
+        prepared = prepare_caterpillar(WALL5)
+        assert mark_locked(prepared, (2, 4, 5)) == frozenset({1, 2, 3, 4, 5})
+        assert mark_locked(prepared, (2, 4)) == frozenset()
 
     def test_stuck_iff_all_tokens_marked(self):
         checked = 0

@@ -12,7 +12,7 @@ from tokenslide.generate import (
     path_representation,
     quadratic_path_instance,
 )
-from tokenslide.caterpillar import _check_shape
+from tokenslide.caterpillar import prepare_caterpillar
 from tokenslide.graphs import Graph, find_strong_twins
 from tokenslide.instances import serialize_instance
 from tokenslide.intervals import GraphClass
@@ -57,7 +57,7 @@ def test_generated_instances_valid(cls, seed):
         assert inst.rep.classify() is GraphClass.TRIVIALLY_PERFECT
         assert find_strong_twins(g) == []
     else:
-        _check_shape(g, [list(range(1, g.n + 1))])
+        assert len(prepare_caterpillar(g).pieces) == 1
 
 
 def test_tp_n2_infeasible():
@@ -120,7 +120,7 @@ def test_caterpillar_enumeration_all_recognized():
         assert g.n == 7
         assert g.m == 6
         assert g.is_connected
-        _check_shape(g, [list(range(1, g.n + 1))])
+        assert len(prepare_caterpillar(g).pieces) == 1
 
 
 def test_caterpillar_enumeration_non_isomorphic():
@@ -128,8 +128,8 @@ def test_caterpillar_enumeration_non_isomorphic():
     # isomorphism invariant for caterpillars
     seen = set()
     for g in enumerate_caterpillar_graphs(8):
-        [(_, leaves)] = _check_shape(g, [list(range(1, g.n + 1))]).values()
-        profile = tuple(len(group) for group in leaves)
+        [(_, _, struct)] = prepare_caterpillar(g).pieces
+        profile = tuple(len(group) for group in struct.leaves)
         seen.add(min(profile, profile[::-1]))
     assert len(seen) == 20
 

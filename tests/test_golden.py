@@ -14,11 +14,15 @@ before moves became plain pairs, and the caterpillar digest, whose moves
 were plain pairs already, came out unchanged.  The witness digest, of
 the NOT_INDEPENDENT details every solver reports for a blue set that is
 not independent, was recorded before the token checks came to share one
-adjacency test per structure.  A change that is meant to alter generated
+adjacency test per structure.  The sized caterpillar digest, of full and
+decide-mode answers on generated caterpillars up to n = 2,000 and on a
+frozen comb, was recorded before the per-pair caterpillar pass came to
+read a group map built once per graph.  A change that is meant to alter generated
 instances, schedules or witnesses must re-record them and say why.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -108,6 +112,18 @@ LIBRARY_DIGESTS = {
 # and every caterpillar with at most 6 vertices, each also with its ids
 # reversed, so a witness pair's order is pinned too (1,650 rejected sets)
 WITNESS_DIGEST = "dd08a3003202819469251a3661548c78d41f1a7247ee8fa8b11e15347166da09"
+
+# full and decide-mode caterpillar answers (status, reason, witness, moves)
+# at size: seeded generated caterpillars against three reds each (the
+# generator's, a random walk from blue and a random independent set), and
+# a frozen comb whose every other group is cut out before solving, and a
+# long caterpillar of locked walls
+SIZED_N = (50, 300, 2_000)
+SIZED_K = (3, 10, 40)
+SIZED_SEEDS = range(3)
+COMB_GROUPS = 800
+WALLED_SPINE = 2_000
+SIZED_DIGEST = "40edc324466fbac539706ea884fcc8b2839aa62112b5d607b640ab6fe756c873"
 
 
 def instances_digest(cls: str) -> str:
@@ -257,6 +273,127 @@ def witness_digest() -> tuple[str, int]:
     return h.hexdigest(), rejected
 
 
+def walk_red(g, blue, steps, rng):
+    """Token set reached from blue by up to ``steps`` random legal slides."""
+    occupied = set(blue)
+    tokens = sorted(occupied)
+    for _ in range(steps):
+        i = rng.randrange(len(tokens))
+        u = tokens[i]
+        v = rng.choice(g.adj[u])
+        if v not in occupied and all(w == u or w not in occupied for w in g.adj[v]):
+            occupied.remove(u)
+            occupied.add(v)
+            tokens[i] = v
+    return tuple(sorted(occupied))
+
+
+def random_independent(g, k, rng):
+    """A random independent set of size k, or None if the draw fails."""
+    order = list(range(1, g.n + 1))
+    rng.shuffle(order)
+    chosen = set()
+    for v in order:
+        if chosen.isdisjoint(g.adj[v]):
+            chosen.add(v)
+            if len(chosen) == k:
+                return tuple(sorted(chosen))
+    return None
+
+
+def frozen_comb(groups):
+    """Spine 1..groups with two leaves per group; blue freezes both leaves
+    of every even group and puts one token on a leaf of group 1."""
+    n = 3 * groups
+    edges = [(i, i + 1) for i in range(1, groups)]
+    edges += [(i, groups + 2 * i - 1) for i in range(1, groups + 1)]
+    edges += [(i, groups + 2 * i) for i in range(1, groups + 1)]
+    frozen = [groups + 2 * i - j for i in range(2, groups + 1, 2) for j in (0, 1)]
+    return Graph(n, edges), (groups + 1, *frozen), frozen
+
+
+def walled(spine):
+    """Spine 1..spine with one leaf on every group but those at 2 mod 4;
+    blue builds a locked wall (leaf, bare spine cell, leaf) over groups
+    4j+1..4j+3 for every even j, and puts a free token on the leaf of
+    group 4j+4 for every j."""
+    edges = [(i, i + 1) for i in range(1, spine)]
+    leaf = {}
+    for i in range(1, spine + 1):
+        if i % 4 != 2:
+            leaf[i] = spine + len(leaf) + 1
+            edges.append((i, leaf[i]))
+    walls = [
+        v for j in range(0, spine // 4 - 1, 2)
+        for v in (leaf[4 * j + 1], 4 * j + 2, leaf[4 * j + 3])
+    ]
+    free = [leaf[4 * j + 4] for j in range(spine // 4 - 1)]
+    return Graph(spine + len(leaf), edges), (*walls, *free), walls
+
+
+def sized_cases():
+    """(label, graph, blue, red) for the sized caterpillar digest."""
+    for n in SIZED_N:
+        for k in SIZED_K:
+            for seed in SIZED_SEEDS:
+                try:
+                    inst = gen_instance("caterpillar", n, k, seed)
+                except GenerationError:
+                    continue
+                g, blue = inst.graph, inst.blue
+                rng = random.Random(f"sized {n} {k} {seed}")
+                reds = {
+                    "gen": inst.red,
+                    "walk": walk_red(g, blue, 6 * k, rng),
+                    "random": random_independent(g, k, rng),
+                }
+                for name, red in reds.items():
+                    if red is not None:
+                        yield f"{n} {k} {seed} {name}", g, blue, red
+    groups = COMB_GROUPS
+    g, blue, frozen = frozen_comb(groups)
+    rng = random.Random("sized comb")
+    # the designed red, walks that move tokens in many free groups, a red
+    # whose moving token changes piece, and one with a thawed frozen group
+    walkers = (groups + 1, *frozen, *(groups + 4 * i + 1 for i in range(2, groups // 2, 7)))
+    reds = {
+        "designed": (groups + 2, *frozen),
+        "walk": walk_red(g, walkers, 2_000, rng),
+        "walk-long": walk_red(g, walkers, 20_000, rng),
+        "unbalanced": (groups + 5, *frozen),
+        "thawed": (groups + 2, groups + 3, groups + 5, *frozen[2:]),
+        "random": random_independent(g, len(blue), rng),
+    }
+    for name, red in reds.items():
+        start = walkers if name.startswith("walk") else blue
+        yield f"comb {groups} {name}", g, start, red
+    g, blue, walls = walled(WALLED_SPINE)
+    reds = {
+        "walk": walk_red(g, blue, 3_000, rng),
+        "broken": walk_red(g, (*blue[:4], *blue[5:], 6), 3_000, rng),
+        "random": random_independent(g, len(blue), rng),
+    }
+    for name, red in reds.items():
+        yield f"walled {WALLED_SPINE} {name}", g, blue, red
+
+
+def sized_digest() -> tuple[str, dict]:
+    h = hashlib.sha256()
+    reasons = {}
+    prepared = {}
+    for label, g, blue, red in sized_cases():
+        p = prepared.setdefault(id(g), prepare_caterpillar(g))
+        full = solve_caterpillar(p, blue, red)
+        fast = solve_caterpillar(p, blue, red, decide=True)
+        assert (fast.status, fast.reason, fast.witness) == (
+            full.status, full.reason, full.witness), label
+        assert fast.moves is None
+        reasons[full.reason] = reasons.get(full.reason, 0) + 1
+        row = (label, blue, red, full.status, full.reason, full.witness, full.moves)
+        h.update(f"{row}\n".encode())
+    return h.hexdigest(), reasons
+
+
 @pytest.mark.parametrize("cls", sorted(INSTANCE_DIGESTS))
 def test_generated_instances_match_digest(cls):
     assert instances_digest(cls) == INSTANCE_DIGESTS[cls]
@@ -281,3 +418,11 @@ def test_library_schedules_match_digest(cls, solves):
 
 def test_not_independent_witnesses_match_digest():
     assert witness_digest() == (WITNESS_DIGEST, 1_650)
+
+
+def test_sized_caterpillar_answers_match_digest():
+    digest, reasons = sized_digest()
+    assert reasons.keys() >= {
+        None, "LOCK_MISMATCH", "TWIN_LEAVES_BLOCKED", "COMPONENT_UNBALANCED"
+    }, reasons
+    assert digest == SIZED_DIGEST

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from tokenslide.caterpillar import _check_shape, _structure, solve_caterpillar
+from tokenslide.caterpillar import prepare_caterpillar, solve_caterpillar
 from tokenslide.generate import (
     enumerate_proper_representations,
     enumerate_tp_representations,
@@ -254,10 +254,31 @@ def test_off_range_blue_rejected(blue):
             validate_sequence(structure, blue, blue, [])
 
 
+@pytest.mark.parametrize("red", [[0], [-1], [4]])
+def test_off_range_red_rejected(red):
+    rep = parse_representation("L1 L2 R1 L3 R2 R3")
+    for structure in (rep, Graph.from_representation(rep)):
+        with pytest.raises(ValueError, match="red vertex out of range"):
+            validate_sequence(structure, [1], red, [])
+
+
+@pytest.mark.parametrize("blue, red, colour", [([1, 1], [1], "blue"), ([1], [4, 4], "red")])
+def test_vertex_listed_twice_rejected(blue, red, colour):
+    for structure in (path_graph(4), parse_representation("L1 L2 R1 L3 R2 L4 R3 R4")):
+        with pytest.raises(ValueError, match=f"{colour} lists a vertex twice"):
+            validate_sequence(structure, blue, red, [])
+
+
+def test_touching_blue_stays_a_step_zero_verdict():
+    res = validate_sequence(path_graph(4), [1, 2], [1, 3], [])
+    assert res == ValidationResult(False, 0, "NOT_INDEPENDENT")
+
+
 # -- caterpillar recognition -------------------------------------------------
 
 def spine_and_leaves(g):
-    return _structure(g.adj, set(range(1, g.n + 1)))
+    [(_, _, struct)] = prepare_caterpillar(g).pieces
+    return struct.spine, struct.leaves
 
 
 def test_recognize_star():
@@ -297,7 +318,8 @@ def test_recognize_rejects_cycle_and_disconnection():
 
 def test_recognize_degenerate_small():
     # components below three vertices have no spine
-    assert _check_shape(Graph(1, ()), [[1]]) == {}
+    [(comp, cells, struct)] = prepare_caterpillar(Graph(1, ())).pieces
+    assert (comp, set(cells), struct) == ([1], {1}, None)
     with pytest.raises(SolverInputError) as exc:
         solve_caterpillar(Graph(2, [(1, 2)]), (1,), (2,))
     assert exc.value.kind == "STRONG_TWINS"
