@@ -43,13 +43,17 @@ rightward block move rightmost-first, leftward blocks leftmost-first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import itemgetter
 from typing import AbstractSet, NamedTuple
 
 from .blocks import BLUE, RED, block_order, boundary_edges, split_blocks, travel
 from .graphs import Graph, _components
-from .results import SolveResult, SolverInputError, check_tokens, no_result, yes_result
+from .results import (
+    SolveResult,
+    SolverInputError,
+    check_tokens,
+    no_result,
+    yes_result,
+)
 
 _MAKE_WAY_LIMIT = 64
 
@@ -82,34 +86,36 @@ def _structure(adj, comp: list[int], cells: AbstractSet[int] | None = None) -> _
     a path.
     """
     if cells is not None:
-        adj = {v: tuple(filter(cells.__contains__, adj[v])) for v in comp}
-    deg = list(map(len, map(adj.__getitem__, comp)))
-    core = list(compress(comp, map((1).__lt__, deg)))
-    tips = list(compress(comp, map((1).__eq__, deg)))
+        adj = {v: [w for w in adj[v] if w in cells] for v in comp}
+    core = [v for v in comp if len(adj[v]) >= 2]
     core_set = set(core)
     # walk the core both ways from its smallest vertex; a fork stops the
     # walk short of some core vertex
-    within = core_set.intersection
     halves: list[list[int]] = []
-    for nxt in sorted(within(adj[core[0]])) or [None]:
+    for nxt in [w for w in adj[core[0]] if w in core_set] or [None]:
         half, prev, cur = [], core[0], nxt
         while cur is not None:
             half.append(cur)
-            ahead = within(adj[cur])
-            ahead.discard(prev)
-            prev, cur = cur, (ahead.pop() if len(ahead) == 1 else None)
+            ahead = [w for w in adj[cur] if w in core_set and w != prev]
+            prev, cur = cur, (ahead[0] if len(ahead) == 1 else None)
         halves.append(half)
-    path = halves[0][::-1] + [core[0]] + (halves[1] if len(halves) > 1 else [])
+    path = halves[0][::-1] + [core[0]]
+    if len(halves) > 1:
+        path += halves[1]
     if len(path) != len(core):
-        raise SolverInputError("NOT_CATERPILLAR", "non-leaf vertices do not form a path")
+        raise SolverInputError(
+            "NOT_CATERPILLAR", "non-leaf vertices do not form a path"
+        )
     spine = min(path, path[::-1])  # smaller end first
-    group = dict(zip(spine, range(len(spine))))
-    at = list(map(group.__getitem__, map(itemgetter(0), map(adj.__getitem__, tips))))
-    group.update(zip(tips, at))
-    leaves: list[tuple[int, ...]] = [()] * len(spine)
-    for t, i in zip(tips, at):
-        leaves[i] += (t,)
-    return _Struct(tuple(spine), tuple(leaves), group)
+    group = {s: i for i, s in enumerate(spine)}
+    # leaves come in ascending order, so each group's list stays sorted
+    leaves: list[list[int]] = [[] for _ in spine]
+    for v in comp:
+        if len(adj[v]) == 1:
+            i = group[adj[v][0]]
+            group[v] = i
+            leaves[i].append(v)
+    return _Struct(tuple(spine), tuple(tuple(l) for l in leaves), group)
 
 
 def _leaf_tokens(struct: _Struct, tset) -> dict[int, list[int]]:
@@ -173,10 +179,13 @@ def mark_locked(g: Graph | PreparedCaterpillar, tokens) -> frozenset[int]:
     raised.
     """
     p = g if isinstance(g, PreparedCaterpillar) else prepare_caterpillar(g)
+    tset = check_tokens("", tokens, p.graph)
     marked: set[int] = set()
-    for (_, _, struct), mine, _ in _by_piece(p, check_tokens("", tokens, p.graph), ()):
-        # a piece without a spine is an isolated vertex
-        marked |= mine if struct is None else _mark(struct, mine, _leaf_tokens(struct, mine))
+    for (_, _, struct), mine, _ in _by_piece(p, tset, ()):
+        if struct is None:  # an isolated vertex
+            marked |= mine
+        else:
+            marked |= _mark(struct, mine, _leaf_tokens(struct, mine))
     return frozenset(marked)
 
 
@@ -213,6 +222,13 @@ class _Scheduler:
         self.occupied[dst] = token
         token.current = dst
         self.out.append((src, dst))
+
+    def _pending(self, cell: int) -> bool:
+        own = self.owner.get(cell)
+        return own is not None and own.current != cell
+
+    def _free_leaves(self, gi: int):
+        return [l for l in self.leaves[gi] if l not in self.occupied]
 
     def _push(self, token: _Token, dirn: int, clean: bool = False) -> bool:
         """Slide ``token`` one spine cell along ``dirn``, shoving a
@@ -252,10 +268,9 @@ class _Scheduler:
                 return True
         elif (gt > gi) == (dirn > 0) and self._push(token, dirn):
             return True
-        free = [l for l in self.leaves[gi] if l not in self.occupied]
+        free = self._free_leaves(gi)
         for l in free:
-            own = self.owner.get(l)
-            if own is None or own.current == l:  # nobody still heading there
+            if not self._pending(l):
                 self._emit(token, l)
                 return True
         if self._push(token, dirn, clean=True):
@@ -534,7 +549,16 @@ class _Scheduler:
             progress = False
             for token in rest:
                 route = self._route(token)
-                if all(map(self._legal, [token.current, *route], route)):
+                probe = token.current
+                ok = True
+                for nxt in route:
+                    if nxt in self.occupied or any(
+                        w != probe and w in self.occupied for w in self.adj[nxt]
+                    ):
+                        ok = False
+                        break
+                    probe = nxt
+                if ok:
                     for nxt in route:
                         self._emit(token, nxt)
                     progress = True
@@ -566,7 +590,8 @@ def _piece_moves(adj, piece: _Piece, bset: set[int], rset: set[int],
     if bset == rset:
         return []
     if len(cells) == 2:
-        (b,), (r,) = bset, rset
+        (b,) = bset
+        (r,) = rset
         return [(b, r)]
     if struct is None:
         struct = _structure(adj, comp, cells)
@@ -582,13 +607,18 @@ def _piece_moves(adj, piece: _Piece, bset: set[int], rset: set[int],
             assert spine[i] not in bset and spine[i] not in rset
             doomed.append(i)
     if doomed:
-        cut = {v for i in doomed for v in (spine[i], *leaves[i])}
+        cut = set()
+        for i in doomed:
+            cut.add(spine[i])
+            cut.update(leaves[i])
         return _recurse(adj, cells - cut, bset, rset, decide)
 
     locked_b = _mark(struct, bset, tok_b)
     locked_r = _mark(struct, rset, tok_r)
     if locked_b != locked_r:
-        raise _Unreachable("LOCK_MISMATCH", tuple(sorted(locked_b ^ locked_r)))
+        raise _Unreachable(
+            "LOCK_MISMATCH", tuple(sorted(locked_b ^ locked_r))
+        )
     if locked_b:
         assert bset & locked_b == rset & locked_b
         return _recurse(adj, cells - locked_b, bset, rset, decide)
@@ -597,7 +627,10 @@ def _piece_moves(adj, piece: _Piece, bset: set[int], rset: set[int],
         return []
     # at most one token of a colour per group, so the group index alone
     # orders a colour class totally
-    pairs = zip(sorted(bset, key=group.__getitem__), sorted(rset, key=group.__getitem__))
+    pairs = list(zip(
+        sorted(bset, key=group.__getitem__),
+        sorted(rset, key=group.__getitem__),
+    ))
     return _Scheduler(adj, struct, pairs).run()
 
 
@@ -608,7 +641,8 @@ def _recurse(adj, cells: AbstractSet[int], bset: set[int], rset: set[int],
     out: list[tuple[int, int]] = []
     for comp in _components(adj, cells):
         piece = set(comp)
-        out += _piece_moves(adj, (comp, piece, None), bset & piece, rset & piece, decide)
+        out.extend(_piece_moves(adj, (comp, piece, None), bset & piece,
+                                rset & piece, decide))
     return out
 
 
@@ -638,8 +672,10 @@ def prepare_caterpillar(g: Graph) -> PreparedCaterpillar:
     twins = []
     for comp in comps:
         # a whole component is a tree iff its degrees sum to 2 (size - 1)
-        if sum(map(len, map(adj.__getitem__, comp))) != 2 * len(comp) - 2:
-            raise SolverInputError("CYCLIC", "graph contains a cycle", (comp[0],))
+        if sum(len(adj[v]) for v in comp) != 2 * len(comp) - 2:
+            raise SolverInputError(
+                "CYCLIC", "graph contains a cycle", (comp[0],)
+            )
         if len(comp) == 2:
             twins.append((comp[0], comp[1]))
         elif len(comp) >= 3:
@@ -649,9 +685,13 @@ def prepare_caterpillar(g: Graph) -> PreparedCaterpillar:
             pieces.append((comp, frozenset(comp), None))
     if twins:
         raise SolverInputError(
-            "STRONG_TWINS", "two-vertex components are twin pairs", tuple(twins)
+            "STRONG_TWINS",
+            "two-vertex components are twin pairs",
+            tuple(twins),
         )
-    piece_of = {v: i for i, comp in enumerate(comps) for v in comp} if len(comps) > 1 else None
+    piece_of = None
+    if len(comps) > 1:
+        piece_of = {v: i for i, comp in enumerate(comps) for v in comp}
     return PreparedCaterpillar(g, tuple(pieces), piece_of)
 
 

@@ -28,6 +28,7 @@ from tokenslide.instances import parse_sequence, serialize_sequence
 from tokenslide.oracle import bfs, slide_neighbors, state_key
 from tokenslide.proper import solve_proper
 from tokenslide.trivially_perfect import solve_tp
+from walks import walk_red
 
 
 def is_stuck(g, tokens):
@@ -227,19 +228,30 @@ def test_decision_mode_stays_linear_on_many_frozen_groups():
     assert best_ratio < 3.0, best_ratio
 
 
-def walk_red(g, blue, steps, rng):
-    """Token set reached from blue by up to ``steps`` random legal slides."""
-    occupied = set(blue)
-    tokens = sorted(occupied)
-    for _ in range(steps):
-        i = rng.randrange(len(tokens))
-        u = tokens[i]
-        v = rng.choice(g.adj[u])
-        if v not in occupied and all(w == u or w not in occupied for w in g.adj[v]):
-            occupied.remove(u)
-            occupied.add(v)
-            tokens[i] = v
-    return tuple(sorted(occupied))
+def test_decision_mode_stays_linear_on_a_star():
+    """A star is a caterpillar whose one spine cell holds every other
+    vertex as a leaf, so its leaf group has n - 1 members; deciding a
+    one-token pair on the raw graph takes less than 20x the CPU time at
+    n = 100,000 that it takes at n = 10,000.  Timed like
+    test_decision_mode_runs_in_linear_time.
+    """
+    runs = {}
+    for n in (10_000, 100_000):
+        g = Graph(n, [(1, v) for v in range(2, n + 1)])
+        runs[n] = lambda g=g, red=[n]: solve_caterpillar(g, [2], red, decide=True)
+    best_ratio = float("inf")
+    for _ in range(9):
+        cpu = {}
+        for n, fn in runs.items():
+            gc.collect()
+            gc.disable()
+            c = time.process_time()
+            res = fn()
+            cpu[n] = time.process_time() - c
+            gc.enable()
+            assert res.yes
+        best_ratio = min(best_ratio, cpu[100_000] / max(cpu[10_000], 1e-9))
+    assert best_ratio < 20.0, best_ratio
 
 
 def test_prepared_decide_cost_does_not_grow_with_n():

@@ -42,6 +42,7 @@ from tokenslide.intervals import IntervalRepresentation
 from tokenslide.proper import prepare_proper, solve_proper
 from tokenslide.results import SolverInputError
 from tokenslide.trivially_perfect import prepare_tp, solve_tp
+from walks import walk_red
 
 SIZES = (3, 9, 24, 300)
 TOKENS = (1, 3, 7)
@@ -271,21 +272,6 @@ def witness_digest() -> tuple[str, int]:
                 rejected += 1
             h.update(f"{row}\n".encode())
     return h.hexdigest(), rejected
-
-
-def walk_red(g, blue, steps, rng):
-    """Token set reached from blue by up to ``steps`` random legal slides."""
-    occupied = set(blue)
-    tokens = sorted(occupied)
-    for _ in range(steps):
-        i = rng.randrange(len(tokens))
-        u = tokens[i]
-        v = rng.choice(g.adj[u])
-        if v not in occupied and all(w == u or w not in occupied for w in g.adj[v]):
-            occupied.remove(u)
-            occupied.add(v)
-            tokens[i] = v
-    return tuple(sorted(occupied))
 
 
 def random_independent(g, k, rng):
