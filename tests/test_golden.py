@@ -17,7 +17,10 @@ not independent, was recorded before the token checks came to share one
 adjacency test per structure.  The sized caterpillar digest, of full and
 decide-mode answers on generated caterpillars up to n = 2,000 and on a
 frozen comb, was recorded before the per-pair caterpillar pass came to
-read a group map built once per graph.  A change that is meant to alter generated
+read a group map built once per graph.  The route digest, of full
+caterpillar answers on shapes whose tokens travel far along the spine,
+was recorded before the scheduler came to emit a clear run of spine
+cells in one step.  A change that is meant to alter generated
 instances, schedules or witnesses must re-record them and say why.
 """
 
@@ -35,6 +38,7 @@ from tokenslide.generate import (
     enumerate_proper_representations,
     enumerate_tp_representations,
     gen_instance,
+    quadratic_path_instance,
 )
 from tokenslide.graphs import Graph, find_strong_twins
 from tokenslide.instances import Instance, serialize_instance
@@ -42,7 +46,7 @@ from tokenslide.intervals import IntervalRepresentation
 from tokenslide.proper import prepare_proper, solve_proper
 from tokenslide.results import SolverInputError
 from tokenslide.trivially_perfect import prepare_tp, solve_tp
-from walks import walk_red
+from walks import comb, leafy_crossing, walk_red
 
 SIZES = (3, 9, 24, 300)
 TOKENS = (1, 3, 7)
@@ -125,6 +129,16 @@ SIZED_SEEDS = range(3)
 COMB_GROUPS = 800
 WALLED_SPINE = 2_000
 SIZED_DIGEST = "40edc324466fbac539706ea884fcc8b2839aa62112b5d607b640ab6fe756c873"
+
+# full caterpillar answers (status, reason, witness, moves) on long
+# routes: the quadratic path at k = 100 (60,100 moves), a comb against its
+# designed red and two seeded walk reds, and one token crossing a spine
+# with few and with many leaves on every cell
+ROUTE_K = 100
+ROUTE_BLOCKS = 1_000
+ROUTE_SPINE = 5_000
+ROUTE_LEAVES = (2, 40)
+ROUTE_DIGEST = "1d193df90033b55a482139a0601a8a0d41200a068bbfe48103784dbd8d53e2ff"
 
 
 def instances_digest(cls: str) -> str:
@@ -380,6 +394,31 @@ def sized_digest() -> tuple[str, dict]:
     return h.hexdigest(), reasons
 
 
+def route_cases():
+    """(label, graph, blue, red) for the route digest."""
+    inst = quadratic_path_instance(ROUTE_K)
+    yield f"quadratic {ROUTE_K}", inst.graph, inst.blue, inst.red
+    g, blue, red = comb(ROUTE_BLOCKS)
+    rng = random.Random("route comb")
+    yield f"comb {ROUTE_BLOCKS} designed", g, blue, red
+    for steps in (4_000, 40_000):
+        yield f"comb {ROUTE_BLOCKS} walk {steps}", g, blue, walk_red(g, blue, steps, rng)
+    for d in ROUTE_LEAVES:
+        yield (f"crossing {ROUTE_SPINE} {d}", *leafy_crossing(ROUTE_SPINE, d))
+
+
+def route_digest() -> tuple[str, int]:
+    h = hashlib.sha256()
+    moves = 0
+    for label, g, blue, red in route_cases():
+        res = solve_caterpillar(g, blue, red)
+        assert res.yes, label
+        moves += res.move_count
+        row = (label, blue, red, res.status, res.reason, res.witness, res.moves)
+        h.update(f"{row}\n".encode())
+    return h.hexdigest(), moves
+
+
 @pytest.mark.parametrize("cls", sorted(INSTANCE_DIGESTS))
 def test_generated_instances_match_digest(cls):
     assert instances_digest(cls) == INSTANCE_DIGESTS[cls]
@@ -412,3 +451,7 @@ def test_sized_caterpillar_answers_match_digest():
         None, "LOCK_MISMATCH", "TWIN_LEAVES_BLOCKED", "COMPONENT_UNBALANCED"
     }, reasons
     assert digest == SIZED_DIGEST
+
+
+def test_long_caterpillar_routes_match_digest():
+    assert route_digest() == (ROUTE_DIGEST, 79_046)

@@ -1,4 +1,7 @@
-"""Random-walk token sets shared by the test modules."""
+"""Random-walk token sets and long-route caterpillar shapes shared by the
+test modules."""
+
+from tokenslide.graphs import Graph
 
 
 def walk_red(g, blue, steps, rng):
@@ -14,3 +17,23 @@ def walk_red(g, blue, steps, rng):
             occupied.add(v)
             tokens[i] = v
     return tuple(sorted(occupied))
+
+
+def comb(blocks):
+    """Spine 1..4b with one leaf on every spine cell; blue and red leaves
+    alternate, so every token travels four slides inside its own block."""
+    s = 4 * blocks
+    edges = [(i, i + 1) for i in range(1, s)] + [(i, s + i) for i in range(1, s + 1)]
+    blue = tuple(s + 4 * i + 1 for i in range(blocks))
+    red = tuple(s + 4 * i + 3 for i in range(blocks))
+    return Graph(2 * s, edges), blue, red
+
+
+def leafy_crossing(spine, d):
+    """Spine 1..spine with d leaves on every cell; one token crosses from
+    the first leaf of the first group to the last leaf of the last group,
+    in spine + 1 slides."""
+    n = spine * (d + 1)
+    edges = [(i, i + 1) for i in range(1, spine)]
+    edges += [(i, spine + (i - 1) * d + j) for i in range(1, spine + 1) for j in range(1, d + 1)]
+    return Graph(n, edges), (spine + 1,), (n,)
