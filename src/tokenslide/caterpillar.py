@@ -38,10 +38,13 @@ down the spine) and letting it return afterwards; this has no
 proper-interval counterpart.  Each such detour costs exactly the two
 extra moves the distance bound charges for it.  Tokens inside a
 rightward block move rightmost-first, leftward blocks leftmost-first.
+Counting the tokens of every group lets the scheduler check a slide in
+O(1), whatever the leaf degree, and emit a clear stretch of spine at once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import AbstractSet, NamedTuple
 
@@ -199,7 +202,7 @@ class _Token:
 
 
 class _Scheduler:
-    """Emits one piece's schedule by simulating the actual slides."""
+    """Emits one piece's schedule, a clear stretch of spine per step."""
 
     def __init__(self, adj, struct: _Struct, pairs):
         self.adj = adj
@@ -208,19 +211,37 @@ class _Scheduler:
         self.tokens = [_Token(b, r) for b, r in pairs]
         self.occupied = {t.current: t for t in self.tokens}
         self.owner = {t.target: t for t in self.tokens}
+        # tokens per group; the held groups ascending, between bare ends
+        self.held = [0] * len(self.spine)
+        for t in self.tokens:
+            self.held[self.group[t.start]] += 1
+        held = {self.group[t.start] for t in self.tokens}
+        self.held_groups = sorted({-1, *held, len(self.spine)})
         self.turn: dict[_Token, int] = {}
         self.turn_now = -1
         self.out: list[tuple[int, int]] = []
 
     # -- movement primitives ------------------------------------------
 
-    def _emit(self, token: _Token, dst: int) -> None:
+    def _relocate(self, token: _Token, dst: int) -> None:
         src = token.current
-        assert dst in self.adj[src] and dst not in self.occupied
-        assert all(w == src or w not in self.occupied for w in self.adj[dst])
         del self.occupied[src]
         self.occupied[dst] = token
         token.current = dst
+        gs, gd = self.group[src], self.group[dst]
+        if gs != gd:
+            # the token leaves gs bare, past bare groups only: gd takes its place
+            self.held[gs] -= 1
+            self.held[gd] += 1
+            self.held_groups[bisect_left(self.held_groups, gs)] = gd
+
+    def _emit(self, token: _Token, dst: int) -> None:
+        src = token.current
+        gs, gd = self.group[src], self.group[dst]
+        # two cells are adjacent iff their group distance plus leaf count is one
+        assert abs(gs - gd) + (src != self.spine[gs]) + (dst != self.spine[gd]) == 1
+        assert self._legal(src, dst)
+        self._relocate(token, dst)
         self.out.append((src, dst))
 
     def _pending(self, cell: int) -> bool:
@@ -247,7 +268,7 @@ class _Scheduler:
                 return False
             if not self._displace(self.occupied[w], dirn):
                 return False
-        if any(w != token.current and w in self.occupied for w in self.adj[q]):
+        if not self._legal(token.current, q):
             return False
         self._emit(token, q)
         return True
@@ -314,30 +335,53 @@ class _Scheduler:
         assert moved, "no room to make way"
 
     def _route(self, token: _Token) -> list[int]:
+        """The cells from the one ``token`` stands on to its target."""
         cur, tgt = token.current, token.target
         gc, gt = self.group[cur], self.group[tgt]
-        cells: list[int] = []
-        if cur not in self.spine_set:
-            cells.append(self.spine[gc])
-        step = 1 if gt >= gc else -1
-        cells.extend(self.spine[g] for g in range(gc + step, gt + step, step))
+        cells = [cur] if cur not in self.spine_set else []
+        cells += self.spine[gc:gt + 1] if gt >= gc else self.spine[gt:gc + 1][::-1]
         if tgt not in self.spine_set:
             cells.append(tgt)
         return cells
 
     def _legal(self, src: int, dst: int) -> bool:
-        if dst in self.occupied:
+        """Whether ``dst`` is free with no token next to it but ``src``."""
+        occupied, spine, g = self.occupied, self.spine, self.group[dst]
+        if dst in occupied:
             return False
-        return all(w == src or w not in self.occupied for w in self.adj[dst])
+        if dst != spine[g]:  # a leaf touches its spine cell only
+            return spine[g] == src or spine[g] not in occupied
+        if self.held[g] > (self.group[src] == g):  # a leaf token of the group
+            return False
+        return all(c == src or c not in occupied for c in spine[max(g - 1, 0):g + 2])
+
+    def _clear_steps(self, g: int, gt: int) -> int:
+        """Legal slides in a row from ``spine[g]`` toward group ``gt``; one
+        into group j along d needs j bare and spine cell j + d free."""
+        held, d = self.held_groups, 1 if gt > g else -1
+        o = held[bisect_left(held, g) + d]
+        if 0 <= o < len(self.spine) and self.spine[o] in self.occupied:
+            o -= d
+        return min((o - d - g) * d, (gt - g) * d)
 
     def _advance(self, token: _Token) -> None:
-        for nxt in self._route(token):
-            guard = 0
-            while not self._legal(token.current, nxt):
-                self._make_way(token, nxt)
-                guard += 1
-                assert guard < _MAKE_WAY_LIMIT, "make-way loop did not settle"
-            self._emit(token, nxt)
+        path = self._route(token)
+        gt = self.group[token.target]
+        i = 1
+        while i < len(path):
+            g, nxt = self.group[token.current], path[i]
+            steps = self._clear_steps(g, gt) if self.group[nxt] != g else 0
+            if steps <= 0:
+                guard = 0
+                while not self._legal(token.current, nxt):
+                    self._make_way(token, nxt)
+                    guard += 1
+                    assert guard < _MAKE_WAY_LIMIT, "make-way loop did not settle"
+                steps = 1
+            cells = path[i - 1:i + steps]
+            self.out.extend(zip(cells, cells[1:]))
+            self._relocate(token, cells[-1])
+            i += steps
 
     # -- block machinery ----------------------------------------------
 
@@ -549,18 +593,9 @@ class _Scheduler:
             progress = False
             for token in rest:
                 route = self._route(token)
-                probe = token.current
-                ok = True
-                for nxt in route:
-                    if nxt in self.occupied or any(
-                        w != probe and w in self.occupied for w in self.adj[nxt]
-                    ):
-                        ok = False
-                        break
-                    probe = nxt
-                if ok:
-                    for nxt in route:
-                        self._emit(token, nxt)
+                if all(map(self._legal, route, route[1:])):
+                    self.out.extend(zip(route, route[1:]))
+                    self._relocate(token, route[-1])
                     progress = True
             assert progress, "final sweep stalled"
 

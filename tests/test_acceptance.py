@@ -4,9 +4,10 @@ One test per guarantee the package makes: totality on proper interval
 graphs, exact agreement with exhaustive search on all three classes,
 the quadratic path family, the two-slides-per-token bound on trivially
 perfect graphs, the stuck-iff-locked characterisation on caterpillars,
-reversibility, coarse linear scaling of the decision mode and of
-verification, and a per-pair caterpillar decide that does not grow with
-n.  Each is written against the public API only.
+reversibility, coarse linear scaling of the decision mode, of
+verification and of full caterpillar solves, and a per-pair caterpillar
+decide that does not grow with n.  Each is written against the public
+API only.
 """
 
 import gc
@@ -28,7 +29,7 @@ from tokenslide.instances import parse_sequence, serialize_sequence
 from tokenslide.oracle import bfs, slide_neighbors, state_key
 from tokenslide.proper import solve_proper
 from tokenslide.trivially_perfect import solve_tp
-from walks import walk_red
+from walks import comb, leafy_crossing, walk_red
 
 
 def is_stuck(g, tokens):
@@ -79,6 +80,9 @@ def test_quadratic_path_family_move_counts():
         assert res_a.yes and res_a.move_count == want, k
         res_b = solve_caterpillar(inst.graph, inst.blue, inst.red)
         assert res_b.yes and res_b.move_count == want, k
+    inst = quadratic_path_instance(100)
+    res = solve_caterpillar(inst.graph, inst.blue, inst.red)
+    assert res.yes and res.move_count == 60_100
 
 
 def test_tp_schedules_slide_each_token_at_most_twice():
@@ -315,3 +319,60 @@ def test_verify_grows_linearly_in_moves():
                 assert check.ok
             best_ratio = min(best_ratio, cpu[100] / cpu[50])
         assert best_ratio < 6.0, (by_graph, best_ratio)
+
+
+def best_cpu_ratio(small, large):
+    """The smallest CPU-time ratio of ``large()`` over ``small()`` in nine
+    back-to-back trials, timed like test_decision_mode_runs_in_linear_time."""
+    best = float("inf")
+    for _ in range(9):
+        cpu = []
+        for fn in (small, large):
+            gc.collect()
+            gc.disable()
+            c = time.process_time()
+            fn()
+            cpu.append(time.process_time() - c)
+            gc.enable()
+        best = min(best, cpu[1] / max(cpu[0], 1e-9))
+    return best
+
+
+def prepared_solve(g, blue, red, moves):
+    """A full solve of one pair on the prepared graph that checks it
+    answers YES in exactly ``moves`` moves."""
+    p = prepare_caterpillar(g)
+
+    def run():
+        res = solve_caterpillar(p, blue, red)
+        assert res.yes and res.move_count == moves
+
+    return run
+
+
+def test_full_solve_does_not_grow_with_leaf_degree():
+    """One token crosses a 5,000-cell spine from a leaf of the first group
+    to a leaf of the last (5,001 moves).  With 40 leaves on every cell the
+    full solve on the prepared graph takes less than 1.5x the CPU time it
+    takes with 2: a clear run of spine cells is emitted in one step, and
+    a single slide is checked from group counts, not from the leaves."""
+    small, large = (prepared_solve(*leafy_crossing(5_000, d), 5_001) for d in (2, 40))
+    ratio = best_cpu_ratio(small, large)
+    assert ratio < 1.5, ratio
+
+
+def test_full_solve_grows_linearly_in_moves():
+    """Full caterpillar solves on a prepared graph: the quadratic path at
+    k = 100 (60,100 moves) takes less than 6x the CPU time of k = 50
+    (15,050 moves, a quarter), and a 10,000-block comb (40,000 moves) less
+    than 15x that of a 1,000-block one (4,000 moves)."""
+    small, large = (
+        prepared_solve(inst.graph, inst.blue, inst.red, k * (6 * k + 1))
+        for k in (50, 100)
+        for inst in [quadratic_path_instance(k)]
+    )
+    ratio = best_cpu_ratio(small, large)
+    assert ratio < 6.0, ratio
+    small, large = (prepared_solve(*comb(b), 4 * b) for b in (1_000, 10_000))
+    ratio = best_cpu_ratio(small, large)
+    assert ratio < 15.0, ratio
