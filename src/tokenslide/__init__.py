@@ -25,7 +25,7 @@ from .intervals import (
     RepresentationError,
     parse_representation,
 )
-from .oracle import OracleResult, SlideSpace, bfs, slide_neighbors
+from .oracle import OracleResult, SlideSpace, bfs
 from .proper import prepare_proper, solve_proper
 from .results import SolveResult, SolverInputError
 from .trivially_perfect import prepare_tp, solve_tp
@@ -60,7 +60,6 @@ __all__ = [
     "quadratic_path_instance",
     "serialize_instance",
     "serialize_sequence",
-    "slide_neighbors",
     "solve_caterpillar",
     "solve_proper",
     "solve_tp",

@@ -38,13 +38,14 @@ down the spine) and letting it return afterwards; this has no
 proper-interval counterpart.  Each such detour costs exactly the two
 extra moves the distance bound charges for it.  Tokens inside a
 rightward block move rightmost-first, leftward blocks leftmost-first.
-Counting the tokens of every group lets the scheduler check a slide in
-O(1), whatever the leaf degree, and emit a clear stretch of spine at once.
+Counting the tokens of each held group lets the scheduler check a slide
+in O(1), whatever the leaf degree, and emit a clear stretch of spine at once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from typing import AbstractSet, NamedTuple
 
@@ -207,16 +208,12 @@ class _Scheduler:
     def __init__(self, adj, struct: _Struct, pairs):
         self.adj = adj
         self.spine, self.leaves, self.group = struct
-        self.spine_set = set(self.spine)
         self.tokens = [_Token(b, r) for b, r in pairs]
         self.occupied = {t.current: t for t in self.tokens}
         self.owner = {t.target: t for t in self.tokens}
-        # tokens per group; the held groups ascending, between bare ends
-        self.held = [0] * len(self.spine)
-        for t in self.tokens:
-            self.held[self.group[t.start]] += 1
-        held = {self.group[t.start] for t in self.tokens}
-        self.held_groups = sorted({-1, *held, len(self.spine)})
+        # tokens per held group; the held groups ascending, between bare ends
+        self.held = Counter(self.group[t.start] for t in self.tokens)
+        self.held_groups = sorted({-1, *self.held, len(self.spine)})
         self.turn: dict[_Token, int] = {}
         self.turn_now = -1
         self.out: list[tuple[int, int]] = []
@@ -264,7 +261,7 @@ class _Scheduler:
         for w in self.adj[q]:
             if w == token.current or w not in self.occupied:
                 continue
-            if clean or w not in self.spine_set:
+            if clean or self.spine[self.group[w]] != w:
                 return False
             if not self._displace(self.occupied[w], dirn):
                 return False
@@ -284,7 +281,7 @@ class _Scheduler:
         gt = self.group[token.target]
         if gt == gi:
             tgt = token.target
-            if tgt not in self.spine_set and tgt not in self.occupied:
+            if self.spine[gt] != tgt and tgt not in self.occupied:
                 self._emit(token, tgt)
                 return True
         elif (gt > gi) == (dirn > 0) and self._push(token, dirn):
@@ -323,7 +320,7 @@ class _Scheduler:
                     break
         assert blocker is not None
         cell = blocker.current
-        assert cell in self.spine_set, "leaf bystanders cannot occur"
+        assert self.spine[self.group[cell]] == cell, "leaf bystanders cannot occur"
         if cell == nxt:
             dirn = self.group[nxt] - self.group[here]
             if dirn == 0:
@@ -338,9 +335,9 @@ class _Scheduler:
         """The cells from the one ``token`` stands on to its target."""
         cur, tgt = token.current, token.target
         gc, gt = self.group[cur], self.group[tgt]
-        cells = [cur] if cur not in self.spine_set else []
+        cells = [cur] if self.spine[gc] != cur else []
         cells += self.spine[gc:gt + 1] if gt >= gc else self.spine[gt:gc + 1][::-1]
-        if tgt not in self.spine_set:
+        if self.spine[gt] != tgt:
             cells.append(tgt)
         return cells
 
@@ -477,7 +474,7 @@ class _Scheduler:
                 self.spine[j] for j in (gl, gla) if 0 <= j < m
             }
             leaf_hit = any(
-                c not in self.spine_set and self.group[c] == gl
+                self.group[c] == gl and self.spine[gl] != c
                 for c in targets
             )
             zlo, zhi = spans[zi]
@@ -500,16 +497,15 @@ class _Scheduler:
         # fellow members shove a mate before it departs or after it
         # settles; this does not depend on how whole blocks end up ordered
         for token, own in home.items():
-            if token.start in self.spine_set:
-                g = self.group[token.start]
+            g = self.group[token.start]
+            if self.spine[g] == token.start:
                 if bare(g):
                     if bfirst[own] and g + 1 in starts[own]:
                         conflict(own, own, g, -1)
                     elif not bfirst[own] and g - 1 in starts[own]:
                         conflict(own, own, g, 1)
-            tt = token.target
-            if tt in self.spine_set and tt != token.start:
-                gp = self.group[tt]
+            tt, gp = token.target, self.group[token.target]
+            if self.spine[gp] == tt and tt != token.start:
                 if bare(gp):
                     ts = self.group[token.start]
                     for u in members[own]:
@@ -543,9 +539,9 @@ class _Scheduler:
             for cell, phase in ((token.start, 0), (token.target, 1)):
                 if phase == 1 and (own is None or cell == token.start):
                     continue
-                if cell not in self.spine_set:
-                    continue
                 g = self.group[cell]
+                if self.spine[g] != cell:
+                    continue
                 trav = 0
                 if phase == 0 and gt_grp != g:
                     trav = 1 if gt_grp > g else -1

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
+from functools import cache
 from typing import TextIO
 
 from .crosscheck import CLASSES, crosscheck
@@ -188,6 +189,7 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+@cache  # one parser per process; main() finds the handler by name per call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tokenslide",
@@ -205,19 +207,16 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--class", dest="cls", choices=("auto",) + CLASSES,
                    default="auto")
-    p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("verify", help="replay a move sequence")
     common(p)
     p.add_argument("--seq", metavar="PATH", required=True,
                    help="sequence file to check")
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("oracle", help="breadth-first search baseline")
     common(p)
     p.add_argument("--budget", type=int, default=DEFAULT_STATE_CAP,
                    metavar="N", help="state exploration cap")
-    p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("gen", help="generate a random instance")
     common(p)
@@ -225,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, metavar="N")
     p.add_argument("--k", type=int, required=True, metavar="K")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("crosscheck", help="sweep solver against the oracle")
     common(p)
@@ -241,13 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=DEFAULT_STATE_CAP,
                    metavar="N", help="oracle state cap per search, in "
                    "exhaustive and randomized sweeps alike")
-    p.set_defaults(fn=cmd_crosscheck)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

@@ -35,6 +35,9 @@ from .graphs import Graph, ReconfigSequence
 from .intervals import IntervalRepresentation, RepresentationError, _is_number, parse_representation
 
 
+MAX_N = 10**6  # Graph(n, ...) allocates n + 1 lists straight from the n line
+
+
 class InstanceFormatError(ValueError):
     pass
 
@@ -72,6 +75,8 @@ def _parse_vertex_list(parts: list[str], n: int, label: str) -> tuple[int, ...]:
 
 
 def parse_instance(text: str) -> Instance:
+    """Read an instance file; an ``n`` above ``MAX_N`` is a format error.
+    An ``edges m`` count needs no such bound: m edge lines must follow it."""
     lines = _meaningful_lines(text)
     if not lines:
         raise InstanceFormatError("empty instance file")
@@ -92,6 +97,8 @@ def parse_instance(text: str) -> Instance:
             if len(parts) != 2 or not _is_number(parts[1]) or int(parts[1]) < 1:
                 raise InstanceFormatError("n line must be 'n <positive integer>'")
             n = int(parts[1])
+            if n > MAX_N:
+                raise InstanceFormatError(f"n={n} exceeds the limit of {MAX_N}")
         elif key == "rep":
             if n is None:
                 raise InstanceFormatError("rep line before n line")

@@ -359,6 +359,20 @@ def test_full_solve_does_not_grow_with_leaf_degree():
     assert ratio < 1.5, ratio
 
 
+def test_full_solve_set_up_does_not_grow_with_spine():
+    """A token moves from the leaf of group 1 to the leaf of group 2
+    (three moves) on a spine with one leaf on every cell.  The full solve
+    on the prepared graph takes less than 3x the CPU time at spine 50,000
+    that it takes at 5,000: the scheduler's set-up is per token, not per
+    spine cell."""
+    runs = []
+    for spine in (5_000, 50_000):
+        g, _, _ = leafy_crossing(spine, 1)
+        runs.append(prepared_solve(g, (spine + 1,), (spine + 2,), 3))
+    ratio = best_cpu_ratio(*runs)
+    assert ratio < 3.0, ratio
+
+
 def test_full_solve_grows_linearly_in_moves():
     """Full caterpillar solves on a prepared graph: the quadratic path at
     k = 100 (60,100 moves) takes less than 6x the CPU time of k = 50

@@ -41,9 +41,12 @@ def test_input_builder_reaches_the_package(tmp_path):
 def test_tracer_wraps_and_restores(tmp_path, capsys):
     spans = load("spans")
     original = tokenslide.cli.solve_caterpillar
+    original_cmd = tokenslide.cli.cmd_solve
     inst = tokenslide.gen_instance("caterpillar", 9, 2, seed=0)
     path = tmp_path / "inst.txt"
     path.write_text(tokenslide.serialize_instance(inst))
+    # the CLI's parser exists before install, so handlers must not be bound in it
+    assert tokenslide.cli.main(["solve", "--class", "caterpillar", "--in", str(path)]) == 0
     tracer = spans.Tracer()
     restore = spans.install(tracer)
     try:
@@ -57,6 +60,8 @@ def test_tracer_wraps_and_restores(tmp_path, capsys):
         restore()
     capsys.readouterr()
     assert tokenslide.cli.solve_caterpillar is original
+    assert tokenslide.cli.cmd_solve is original_cmd
+    assert [key for _, _, key, _, _ in tracer.spans].count("cli.cmd_solve") == 1
     assert report.ok and report.checked > 0
     assert code == 0
     assert randomized.ok and randomized.checked == 20

@@ -1,8 +1,11 @@
 """Command-line front end."""
 
+import argparse
+
 import pytest
 
 from tokenslide.cli import main
+from tokenslide.instances import MAX_N
 from tokenslide.graphs import Graph
 from tokenslide.intervals import IntervalRepresentation
 
@@ -100,6 +103,21 @@ class TestSolve:
         assert code == 0
         assert out == ""
         assert dest.read_text().startswith("YES\nMOVES 7\n")
+
+    def test_out_file_does_not_carry_over_to_the_next_call(self, tmp_path, capsys):
+        inst = write(tmp_path, "inst.txt", P8_REP)
+        dest = tmp_path / "moves.txt"
+        assert run(capsys, "solve", "--in", inst, "--out", str(dest)) == (0, "", "")
+        saved = dest.read_text()
+        code, out, _ = run(capsys, "solve", "--in", inst)
+        assert (code, out) == (0, saved)
+        assert dest.read_text() == saved
+
+    def test_n_above_the_limit_exits_2(self, tmp_path, capsys):
+        path = write(tmp_path, "inst.txt", f"n {MAX_N + 1}\nedges 1\n1 2\nblue 1\nred 2\n")
+        code, out, err = run(capsys, "solve", "--in", path)
+        assert (code, out) == (2, "")
+        assert err == f"ERROR PARSE: n={MAX_N + 1} exceeds the limit of {MAX_N}\n"
 
 
 class TestVerify:
@@ -281,3 +299,38 @@ def test_auto_class_is_a_usage_error(command, capsys):
         main([command, "--class", "auto", "--n", "5", "--k", "1"])
     assert exc.value.code == 2
     assert "invalid choice: 'auto'" in capsys.readouterr().err
+
+
+def test_valid_call_after_a_usage_error(tmp_path, capsys):
+    path = write(tmp_path, "inst.txt", P8_REP)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--class", "chordal", "--in", path])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, err = run(capsys, "solve", "--in", path)
+    assert (code, err) == (0, "")
+    assert out.startswith("YES\nMOVES 7\n")
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    """Twenty calls over four commands construct at most one parser and
+    its five subparsers, whether or not earlier calls already built them."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    inst = write(tmp_path, "inst.txt", P8_REP)
+    seq = tmp_path / "seq.txt"
+    for seed in range(5):
+        code, out, _ = run(capsys, "gen", "--class", "proper", "--n", "8",
+                           "--k", "2", "--seed", str(seed))
+        assert code == 0 and out.startswith("n 8\n")
+        assert run(capsys, "solve", "--in", inst, "--out", str(seq)) == (0, "", "")
+        assert run(capsys, "verify", "--in", inst, "--seq", str(seq)) == (0, "OK\n", "")
+        code, out, _ = run(capsys, "oracle", "--in", inst)
+        assert code == 0 and out.startswith("YES\nMOVES 7\n")
+    assert len(built) <= 6, len(built)

@@ -4,6 +4,7 @@ import pytest
 
 from tokenslide.graphs import ReconfigSequence
 from tokenslide.instances import (
+    MAX_N,
     InstanceFormatError,
     parse_instance,
     parse_sequence,
@@ -153,6 +154,15 @@ def test_numeric_field_takes_ascii_digits_only(field):
         with pytest.raises(InstanceFormatError) as err:
             parse(template.format(bad), *args)
         assert str(err.value) == message.format(bad), bad
+
+
+def test_n_above_the_limit_is_a_format_error():
+    """The n line is checked before any list of n entries is built."""
+    text = "n {}\nedges 1\n1 2\nblue 1\nred 2\n"
+    assert parse_instance(text.format(MAX_N)).n == MAX_N
+    with pytest.raises(InstanceFormatError) as err:
+        parse_instance(text.format(MAX_N + 1))
+    assert str(err.value) == f"n={MAX_N + 1} exceeds the limit of {MAX_N}"
 
 
 def test_bad_rep_token_is_a_format_error_with_its_position():
