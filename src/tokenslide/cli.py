@@ -41,10 +41,15 @@ from .trivially_perfect import solve_tp
 
 
 def _read(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    """The text of ``path``, or of stdin for None or "-"; a file that
+    cannot be read or is not UTF-8 is a parse error, not a crash."""
+    try:
+        if path is None or path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise InstanceFormatError(f"cannot read {path or '-'}: {err}") from None
 
 
 def _open_out(path: str | None):

@@ -18,33 +18,27 @@ class ReconfigSequence:
     initial: tuple[int, ...]
     moves: tuple[tuple[int, int], ...]
 
-    @property
-    def move_count(self) -> int:
-        return len(self.moves)
-
 
 class Graph:
-    """Undirected simple graph on vertices 1..n with immutable adjacency."""
+    """Undirected simple graph on vertices 1..n with immutable adjacency.
 
-    __slots__ = ("n", "adj", "_edges", "_components")
+    Only the sorted adjacency is stored: an edge listed more than once
+    counts once, and ``edges()`` and ``m`` are derived from ``adj``.
+    """
+
+    __slots__ = ("n", "adj", "_components")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         adj: list[list[int]] = [[] for _ in range(n + 1)]
-        seen: set[tuple[int, int]] = set()
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge ({u}, {v}) out of range 1..{n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                continue
-            seen.add(key)
             adj[u].append(v)
             adj[v].append(u)
         self.n = n
-        self.adj = tuple(tuple(sorted(neighbors)) for neighbors in adj)
-        self._edges = tuple(sorted(seen))
+        self.adj = tuple(tuple(sorted(set(neighbors))) for neighbors in adj)
         self._components: list[list[int]] | None = None
 
     @classmethod
@@ -53,19 +47,16 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return len(self._edges)
+        return sum(map(len, self.adj)) // 2
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return self._edges
+        """Every edge once as (u, v) with u < v, sorted."""
+        return tuple((u, v) for u, neighbors in enumerate(self.adj) for v in neighbors if v > u)
 
     def components(self) -> list[list[int]]:
         if self._components is None:
             self._components = _components(self.adj, range(1, self.n + 1))
         return self._components
-
-    @property
-    def is_connected(self) -> bool:
-        return len(self.components()) <= 1
 
     def touching(self, vertices: Iterable[int]) -> tuple[int, int] | None:
         """The first adjacent pair among ``vertices``, smaller id first,

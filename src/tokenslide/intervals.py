@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class GraphClass(Enum):
@@ -115,24 +115,25 @@ class IntervalRepresentation:
                     current = []
         return components
 
-    def intersection_edges(self) -> list[tuple[int, int]]:
-        """Edges of the intersection graph via a left-to-right sweep."""
-        edges: list[tuple[int, int]] = []
+    def intersection_edges(self) -> Iterator[tuple[int, int]]:
+        """Edges of the intersection graph, yielded once each as (smaller
+        id, larger id) by a left-to-right sweep."""
         active: set[int] = set()
         for side, vid in self.events:
             if side == "L":
-                edges.extend((other, vid) if other < vid else (vid, other) for other in active)
+                yield from ((other, vid) if other < vid else (vid, other) for other in active)
                 active.add(vid)
             else:
                 active.discard(vid)
-        return edges
 
 
 def _is_number(field: str) -> bool:
     """True for a nonempty run of the ASCII digits 0-9, the only numerals
     the file formats take: ``int`` would also take a sign, underscores
     between digits, and the decimal digits of other scripts."""
-    return field.isdigit() and field.isascii()
+    # 4,300 digits is Python's default int-string limit; int() raises a
+    # plain ValueError on a longer numeral, so refuse it here
+    return len(field) <= 4300 and field.isdigit() and field.isascii()
 
 
 def parse_representation(text: str) -> IntervalRepresentation:

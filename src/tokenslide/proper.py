@@ -79,6 +79,10 @@ def _strong_twin_pairs(order, hi, lo) -> tuple[tuple[int, int], ...]:
 
 
 def _walk(pos, hi, lo, order, frm: int, to: int) -> tuple[int, ...]:
+    """Shortest vertex path between two vertices of one component, empty
+    when they match.  Each hop jumps to the farthest neighbor toward the
+    target, which is optimal because neighborhoods are consecutive in
+    canonical order."""
     if frm == to:
         return ()
     path = [frm]
@@ -87,21 +91,6 @@ def _walk(pos, hi, lo, order, frm: int, to: int) -> tuple[int, ...]:
         cur = min(hi[cur], tgt) if tgt > cur else max(lo[cur], tgt)
         path.append(order[cur - 1])
     return tuple(path)
-
-
-def token_path(rep: IntervalRepresentation, frm: int, to: int) -> tuple[int, ...]:
-    """Shortest vertex path between two vertices, empty when they match.
-
-    Each hop jumps to the farthest neighbor toward the target, which is
-    optimal because neighborhoods are consecutive in canonical order.
-    A component ends at each position whose reach stops at itself.
-    """
-    order = canonical_order(rep)
-    pos, hi, lo = _reach(rep, order)
-    a, b = sorted((pos[frm], pos[to]))
-    if any(hi[i] == i for i in range(a, b)):
-        raise ValueError(f"vertices {frm} and {to} lie in different components")
-    return _walk(pos, hi, lo, order, frm, to)
 
 
 @dataclass(frozen=True, slots=True)

@@ -22,13 +22,11 @@ from .results import SolveResult, SolverInputError, check_tokens, no_result
 class ContainmentForest:
     """Nesting structure of a laminar interval family.
 
-    ``parent[v]`` is 0 for roots; children keep parse order.  ``tin`` and
-    ``tout`` are preorder ranges: u is an ancestor of v (inclusive) iff
-    tin[u] <= tin[v] <= tout[u].
+    Children keep parse order.  ``tin`` and ``tout`` are preorder ranges:
+    u is an ancestor of v (inclusive) iff tin[u] <= tin[v] <= tout[u].
     """
 
     n: int
-    parent: tuple[int, ...]
     children: tuple[tuple[int, ...], ...]
     roots: tuple[int, ...]
     tin: tuple[int, ...]
@@ -44,7 +42,6 @@ class ContainmentForest:
 def containment_forest(rep: IntervalRepresentation) -> ContainmentForest:
     """Parse the nesting; partial overlap means the family is not laminar."""
     n = rep.n
-    parent = [0] * (n + 1)
     children: list[list[int]] = [[] for _ in range(n + 1)]
     roots: list[int] = []
     tin = [0] * (n + 1)
@@ -56,7 +53,6 @@ def containment_forest(rep: IntervalRepresentation) -> ContainmentForest:
             clock += 1
             tin[vid] = clock
             if stack:
-                parent[vid] = stack[-1]
                 children[stack[-1]].append(vid)
             else:
                 roots.append(vid)
@@ -71,7 +67,6 @@ def containment_forest(rep: IntervalRepresentation) -> ContainmentForest:
             stack.pop()
     return ContainmentForest(
         n,
-        tuple(parent),
         tuple(tuple(c) for c in children),
         tuple(roots),
         tuple(tin),

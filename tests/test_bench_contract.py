@@ -69,3 +69,21 @@ def test_tracer_wraps_and_restores(tmp_path, capsys):
     assert metrics["caterpillar.calls"] == report.checked + 1
     assert metrics["oracle.calls"] > 0
     assert metrics["instances.bytes_parsed"] == len(path.read_bytes())
+
+
+def test_tracer_counts_the_edges_a_graph_holds():
+    # the counter reads Graph.m, which is derived from the adjacency, so a
+    # repeated edge counts once
+    spans = load("spans")
+    init = vars(tokenslide.Graph)["__init__"]
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
+    try:
+        assert vars(tokenslide.Graph)["__init__"] is not init
+        g = tokenslide.Graph(5, [(1, 2), (2, 1), (2, 3), (3, 4), (4, 5), (5, 3), (1, 2)])
+        metrics = spans.layer_metrics(tracer)
+    finally:
+        restore()
+    assert vars(tokenslide.Graph)["__init__"] is init
+    assert g.m == 5
+    assert metrics["graphs.edges_built"] == g.m

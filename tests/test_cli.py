@@ -196,6 +196,66 @@ class TestVerify:
         assert (code, out) == (0, "OK\n")
 
 
+class TestUnreadableInput:
+    """Input the parsers cannot take exits 2 with a parse error; none of
+    these may print a traceback and exit 1, the code of a NO."""
+
+    # longer than Python's default int-string limit of 4,300 digits
+    HUGE = "1" * 4400
+
+    def test_huge_n(self, tmp_path, capsys):
+        path = write(tmp_path, "inst.txt", f"n {self.HUGE}\nedges 1\n1 2\nblue 1\nred 2\n")
+        code, out, err = run(capsys, "solve", "--in", path)
+        assert (code, out) == (2, "")
+        assert err == "ERROR PARSE: n line must be 'n <positive integer>'\n"
+
+    def test_n_at_the_digit_limit_is_still_read(self, tmp_path, capsys):
+        n = "1" * 4300
+        path = write(tmp_path, "inst.txt", f"n {n}\nedges 1\n1 2\nblue 1\nred 2\n")
+        code, out, err = run(capsys, "oracle", "--in", path)
+        assert (code, out) == (2, "")
+        assert err == f"ERROR PARSE: n={n} exceeds the limit of {MAX_N}\n"
+
+    def test_huge_endpoint(self, tmp_path, capsys):
+        path = write(tmp_path, "inst.txt", f"n 2\nrep L{self.HUGE} L2 R1 R2\nblue 1\nred 1\n")
+        code, out, err = run(capsys, "solve", "--in", path)
+        assert (code, out) == (2, "")
+        assert err == f"ERROR PARSE: rep line, token 1: malformed endpoint token 'L{self.HUGE}'\n"
+
+    def test_huge_move(self, tmp_path, capsys):
+        inst = write(tmp_path, "inst.txt", P8_REP)
+        seq = write(tmp_path, "seq.txt", f"MOVES 1\n1 {self.HUGE}\n")
+        code, out, err = run(capsys, "verify", "--in", inst, "--seq", seq)
+        assert (code, out) == (2, "")
+        assert err == f"ERROR PARSE: bad move line: '1 {self.HUGE}'\n"
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "oracle"])
+    def test_instance_not_utf8(self, command, tmp_path, capsys):
+        path = tmp_path / "inst.txt"
+        path.write_bytes(b"\xff" + P8_REP.encode())
+        seq = write(tmp_path, "seq.txt", "MOVES 0\n")
+        extra = ("--seq", seq) if command == "verify" else ()
+        code, out, err = run(capsys, command, "--in", str(path), *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"ERROR PARSE: cannot read {path}: 'utf-8' codec can't decode")
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "oracle"])
+    def test_missing_instance_file(self, command, tmp_path, capsys):
+        missing = tmp_path / "absent.txt"
+        seq = write(tmp_path, "seq.txt", "MOVES 0\n")
+        extra = ("--seq", seq) if command == "verify" else ()
+        code, out, err = run(capsys, command, "--in", str(missing), *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"ERROR PARSE: cannot read {missing}: ")
+
+    def test_missing_sequence_file(self, tmp_path, capsys):
+        inst = write(tmp_path, "inst.txt", P8_REP)
+        missing = tmp_path / "absent.txt"
+        code, out, err = run(capsys, "verify", "--in", inst, "--seq", str(missing))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"ERROR PARSE: cannot read {missing}: ")
+
+
 class TestOracle:
     def test_reachable(self, tmp_path, capsys):
         path = write(tmp_path, "inst.txt", P8_REP)

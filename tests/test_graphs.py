@@ -1,6 +1,7 @@
 """Graph model, twins, caterpillar recognition, and sequence validation."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -8,6 +9,7 @@ from tokenslide.caterpillar import prepare_caterpillar, solve_caterpillar
 from tokenslide.generate import (
     enumerate_proper_representations,
     enumerate_tp_representations,
+    gen_instance,
 )
 from tokenslide.graphs import (
     Graph,
@@ -41,6 +43,53 @@ def test_duplicate_edges_collapsed():
     assert g.m == 1
 
 
+def random_representation(n, rng):
+    """A seeded endpoint string: each id's first occurrence is its left end."""
+    ids = [v for v in range(1, n + 1) for _ in "LR"]
+    rng.shuffle(ids)
+    opened = set()
+    events = []
+    for v in ids:
+        events.append(f"{'R' if v in opened else 'L'}{v}")
+        opened.add(v)
+    return parse_representation(" ".join(events))
+
+
+def test_edges_and_m_derive_from_adjacency():
+    rng = random.Random(13)
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        pairs = [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(0, 3 * n))]
+        # every pair again in both orientations, shuffled in
+        listed = pairs + [(v, u) for u, v in pairs] + rng.choices(pairs, k=len(pairs) // 2)
+        rng.shuffle(listed)
+        g = Graph(n, listed)
+        assert g.edges() == tuple(sorted({(min(e), max(e)) for e in listed}))
+        assert g.m == len(g.edges())
+        assert Graph(g.n, g.edges()).adj == g.adj
+    reps = [random_representation(rng.randint(1, 14), rng) for _ in range(200)]
+    reps += list(enumerate_proper_representations(6)) + list(enumerate_tp_representations(6))
+    for rep in reps:
+        g = Graph.from_representation(rep)
+        assert list(g.edges()) == sorted(set(rep.intersection_edges()))
+        assert g.m == len(g.edges())
+
+
+def test_from_representation_holds_no_edge_list():
+    # the adjacency alone takes about 49 bytes per edge here; a sorted
+    # edge tuple and a dedupe set beside it took 216
+    rep = gen_instance("tp", 2000, 3, seed=0).rep
+    assert rep.n == 2000
+    tracemalloc.start()
+    try:
+        g = Graph.from_representation(rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m == 16_215
+    assert peak <= 100 * g.m, peak / g.m
+
+
 def test_self_loop_rejected():
     with pytest.raises(ValueError):
         Graph(2, [(1, 1)])
@@ -54,14 +103,14 @@ def test_out_of_range_edge_rejected():
 def test_from_representation_k3():
     g = Graph.from_representation(parse_representation("L1 L2 L3 R1 R2 R3"))
     assert g.m == 3
-    assert g.is_connected
+    assert len(g.components()) == 1
 
 
 def test_components_and_connectivity():
     g = Graph(5, [(1, 2), (4, 5)])
     assert g.components() == [[1, 2], [3], [4, 5]]
-    assert not g.is_connected
-    assert path_graph(4).is_connected
+    assert len(g.components()) > 1
+    assert len(path_graph(4).components()) == 1
 
 
 def test_touching_names_an_adjacent_pair():

@@ -109,7 +109,7 @@ def test_intersection_edges_p3():
 
 
 def test_intersection_edges_disjoint():
-    assert parse_representation("L1 R1 L2 R2").intersection_edges() == []
+    assert list(parse_representation("L1 R1 L2 R2").intersection_edges()) == []
 
 
 def test_touching_endpoints_intersect():

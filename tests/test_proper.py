@@ -21,7 +21,7 @@ from tokenslide.blocks import BLUE, RED, block_order, boundary_edges, split_bloc
 from tokenslide.graphs import Graph, find_strong_twins, validate_sequence
 from tokenslide.intervals import IntervalRepresentation, parse_representation
 from tokenslide.oracle import SlideSpace, bfs
-from tokenslide.proper import canonical_order, prepare_proper, solve_proper, token_path
+from tokenslide.proper import canonical_order, prepare_proper, solve_proper
 from tokenslide.results import SolverInputError
 
 # Path on 36 vertices with nine tokens per side, chosen so the colored
@@ -203,6 +203,18 @@ class TestBlockOrder:
         assert boundary_edges(blocks, lambda l, r: True) == [(1, 0)]
 
 
+def token_path(rep, frm, to):
+    """The vertices one token visits on its way in solve_proper's schedule."""
+    res = solve_proper(rep, (frm,), (to,))
+    assert res.yes, (res.reason, res.witness)
+    return (frm, *(dst for _, dst in res.moves)) if res.moves else ()
+
+
+# the square of the path 1-2-3-4-5: each vertex meets those at most two
+# steps away along the path, and no two vertices are twins
+PATH_SQUARE = "L1 L2 L3 R1 L4 R2 L5 R3 R4 R5"
+
+
 class TestTokenPath:
     def test_same_vertex_empty(self):
         assert token_path(path_representation(8), 3, 3) == ()
@@ -216,17 +228,18 @@ class TestTokenPath:
     def test_across_components_rejected(self):
         rep = parse_representation(TWO_PATHS)
         assert token_path(rep, 6, 4) == (6, 5, 4)
-        with pytest.raises(ValueError):
-            token_path(rep, 3, 4)
+        res = solve_proper(rep, (3,), (4,))
+        assert (res.yes, res.reason, res.witness) == (False, "COMPONENT_UNBALANCED", (1,))
 
     def test_triangle_direct_hop(self):
-        rep = parse_representation("L1 L2 L3 R1 R2 R3")
+        rep = parse_representation(PATH_SQUARE)
         assert token_path(rep, 1, 3) == (1, 3)
 
     def test_skips_through_overlaps(self):
         # vertices 1,2,3 mutually adjacent, 3-4 adjacent: 1 can hop to 3
-        rep = parse_representation("L1 L2 L3 R1 R2 L4 R3 R4")
+        rep = parse_representation(PATH_SQUARE)
         assert token_path(rep, 1, 4) == (1, 3, 4)
+        assert token_path(rep, 5, 1) == (5, 3, 1)
 
     def test_matches_bfs_distance(self):
         for seed in range(8):

@@ -38,8 +38,8 @@ class TestForestParse:
         assert f.roots == (1,)
         assert f.children[1] == (2, 5)
         assert f.children[2] == (3, 4)
-        assert f.parent[3] == 2
-        assert f.parent[1] == 0
+        assert [v for v in range(1, 6) if 3 in f.children[v]] == [2]
+        assert 1 in f.roots and all(1 not in c for c in f.children)
 
     def test_isolated_roots(self):
         f = containment_forest(rep("L1 R1 L2 R2"))
@@ -151,6 +151,11 @@ class TestSolveNo:
         res = solve_tp(rep(TWO_COMPONENTS), (2, 3), (5, 6))
         assert not res.yes and res.reason == "COMPONENT_UNBALANCED"
         assert res.witness == (1,)
+
+    def test_unbalanced_witness_is_the_outermost_interval(self):
+        # the first component's root, 3, is not its smallest id, 1
+        res = solve_tp(rep("L3 L1 R1 L2 R2 R3 L4 R4"), (1,), (4,))
+        assert (res.yes, res.reason, res.witness) == (False, "COMPONENT_UNBALANCED", (3,))
 
     def test_cardinality_mismatch(self):
         res = solve_tp(rep(K13), (2,), (3, 4))
