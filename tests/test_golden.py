@@ -20,7 +20,10 @@ frozen comb, was recorded before the per-pair caterpillar pass came to
 read a group map built once per graph.  The route digest, of full
 caterpillar answers on shapes whose tokens travel far along the spine,
 was recorded before the scheduler came to emit a clear run of spine
-cells in one step.  A change that is meant to alter generated
+cells in one step.  The tp library and sized digests, of every tp
+schedule on small nestings and of full and decide-mode tp answers at
+size, were recorded before the tp solver came to work straight from the
+endpoint string.  A change that is meant to alter generated
 instances, schedules or witnesses must re-record them and say why.
 """
 
@@ -46,7 +49,7 @@ from tokenslide.intervals import IntervalRepresentation
 from tokenslide.proper import prepare_proper, solve_proper
 from tokenslide.results import SolverInputError
 from tokenslide.trivially_perfect import prepare_tp, solve_tp
-from walks import comb, leafy_crossing, walk_red
+from walks import comb, leafy_crossing, nesting, walk_red
 
 SIZES = (3, 9, 24, 300)
 TOKENS = (1, 3, 7)
@@ -105,11 +108,13 @@ ORACLE_DIGEST = "eb0d0d4e3acc0eccb68df311a275319a8fd515bd405bbb6031e73dfec4ac84f
 
 # library schedules (status, moves, reason, witness) for every ordered pair
 # of independent sets of equal size k <= 3: on every caterpillar with at
-# most 8 vertices (27,848 solves) and every twin-free proper
-# representation with at most 7 (4,058 solves)
+# most 8 vertices (27,848 solves), every twin-free proper
+# representation with at most 7 (4,058 solves) and every twin-free tp
+# representation with at most 8 (10,312 solves)
 LIBRARY_DIGESTS = {
     "caterpillar": "5925a58f15a288b906a0ab01b47c16f89b8b5c6510eb1e67555d3542e09f3dc2",
     "proper": "da1097f3fe84bb94ec2f4099609741f47e2bf93527736cc712ecf9f8368825c1",
+    "tp": "810c8d0f444c3d4c3b9edd2489c093ff1b6c9edc1a3643ba0ba07b186d092ea5",
 }
 
 # token-check outcomes (kind, details, message) for every vertex subset as
@@ -139,6 +144,15 @@ ROUTE_BLOCKS = 1_000
 ROUTE_SPINE = 5_000
 ROUTE_LEAVES = (2, 40)
 ROUTE_DIGEST = "1d193df90033b55a482139a0601a8a0d41200a068bbfe48103784dbd8d53e2ff"
+
+# full and decide-mode tp answers (status, reason, witness, moves) at
+# size: seeded generated nestings against the generator's red and a
+# random walk from blue, and a deep nesting against hand-made reds
+TP_SIZED_N = (50, 300, 2_000, 10_000)
+TP_SIZED_K = (3, 10, 30)
+TP_SIZED_SEEDS = range(2)
+NEST_DEPTH = 1_000
+TP_SIZED_DIGEST = "42ee5898388d81870a5656d438f139ea1bed424a7f43f2e8ca5f9a19235f4fe6"
 
 
 def instances_digest(cls: str) -> str:
@@ -214,6 +228,10 @@ def library_graphs(cls: str):
         for n in range(3, 9):
             for g in enumerate_caterpillar_graphs(n):
                 yield f"{n} {g.edges()}", g, g
+    elif cls == "tp":
+        for n in range(1, 9):
+            for rep in enumerate_tp_representations(n):
+                yield rep.serialize(), rep, Graph.from_representation(rep)
     else:
         for n in range(1, 8):
             for rep in enumerate_proper_representations(n):
@@ -226,6 +244,7 @@ def library_digest(cls: str) -> tuple[str, int]:
     prepare, solve = {
         "caterpillar": (prepare_caterpillar, solve_caterpillar),
         "proper": (prepare_proper, solve_proper),
+        "tp": (prepare_tp, solve_tp),
     }[cls]
     h = hashlib.sha256()
     solves = 0
@@ -419,6 +438,51 @@ def route_digest() -> tuple[str, int]:
     return h.hexdigest(), moves
 
 
+def tp_sized_cases():
+    """(label, representation, graph or None, blue, red) for the sized tp
+    digest."""
+    for n in TP_SIZED_N:
+        for k in TP_SIZED_K:
+            for seed in TP_SIZED_SEEDS:
+                inst = gen_instance("tp", n, k, seed)
+                rng = random.Random(f"tp sized {n} {k} {seed}")
+                red = walk_red(inst.graph, inst.blue, 6 * k, rng)
+                for name, red in (("gen", inst.red), ("walk", red)):
+                    yield f"{n} {k} {seed} {name}", inst.rep, inst.blue, red
+    # the nesting's leaves are depth + 1..2 * depth, its extra leaf
+    # 2 * depth + 1; leaf depth + i meets the chain intervals 1..i
+    depth = NEST_DEPTH
+    rep = nesting(depth)
+    rng = random.Random("tp sized nesting")
+    for k in (3, 200):
+        blue = sorted(rng.sample(range(depth + 1, 2 * depth + 1), k))
+        deepest = blue[-1] - depth
+        reds = {
+            "designed": (*blue[:-1], 2 * depth + 1),
+            "chain": (*blue[:-1], rng.randint(blue[-2] - depth + 1, deepest)),
+            "leaves": sorted(rng.sample(range(depth + 1, 2 * depth + 1), k)),
+        }
+        for name, red in reds.items():
+            yield f"nesting {depth} {k} {name}", rep, tuple(blue), tuple(sorted(red))
+
+
+def tp_sized_digest() -> tuple[str, dict]:
+    h = hashlib.sha256()
+    reasons = {}
+    prepared = {}
+    for label, rep, blue, red in tp_sized_cases():
+        p = prepared.setdefault(id(rep), prepare_tp(rep))
+        full = solve_tp(p, blue, red)
+        fast = solve_tp(rep, blue, red, decide=True)
+        assert (fast.status, fast.reason, fast.witness) == (
+            full.status, full.reason, full.witness), label
+        assert fast.moves is None
+        reasons[full.reason] = reasons.get(full.reason, 0) + 1
+        row = (label, blue, red, full.status, full.reason, full.witness, full.moves)
+        h.update(f"{row}\n".encode())
+    return h.hexdigest(), reasons
+
+
 @pytest.mark.parametrize("cls", sorted(INSTANCE_DIGESTS))
 def test_generated_instances_match_digest(cls):
     assert instances_digest(cls) == INSTANCE_DIGESTS[cls]
@@ -436,7 +500,9 @@ def test_cli_oracle_output_matches_digest(tmp_path, capsys):
     assert oracle_digest(tmp_path, capsys) == ORACLE_DIGEST
 
 
-@pytest.mark.parametrize("cls,solves", [("caterpillar", 27_848), ("proper", 4_058)])
+@pytest.mark.parametrize(
+    "cls,solves", [("caterpillar", 27_848), ("proper", 4_058), ("tp", 10_312)]
+)
 def test_library_schedules_match_digest(cls, solves):
     assert library_digest(cls) == (LIBRARY_DIGESTS[cls], solves)
 
@@ -455,3 +521,9 @@ def test_sized_caterpillar_answers_match_digest():
 
 def test_long_caterpillar_routes_match_digest():
     assert route_digest() == (ROUTE_DIGEST, 79_046)
+
+
+def test_sized_tp_answers_match_digest():
+    digest, reasons = tp_sized_digest()
+    assert reasons.keys() >= {None, "MERGE_CASE4", "MERGE_CASE5"}, reasons
+    assert digest == TP_SIZED_DIGEST

@@ -1,7 +1,8 @@
-"""Random-walk token sets and long-route caterpillar shapes shared by the
-test modules."""
+"""Random-walk token sets, long-route caterpillar shapes and a deep
+trivially perfect nesting shared by the test modules."""
 
 from tokenslide.graphs import Graph
+from tokenslide.intervals import IntervalRepresentation
 
 
 def walk_red(g, blue, steps, rng):
@@ -37,3 +38,17 @@ def leafy_crossing(spine, d):
     edges = [(i, i + 1) for i in range(1, spine)]
     edges += [(i, spine + (i - 1) * d + j) for i in range(1, spine + 1) for j in range(1, d + 1)]
     return Graph(n, edges), (spine + 1,), (n,)
+
+
+def nesting(depth):
+    """Chain of ``depth`` nested intervals 1..depth, interval i holding
+    the leaf interval depth + i, the innermost also holding the leaf
+    2 * depth + 1.  Every interval meets all of its ancestors, so the
+    intersection graph has about depth**2 edges."""
+    events = []
+    for i in range(1, depth + 1):
+        events += [("L", i), ("L", depth + i), ("R", depth + i)]
+    extra = 2 * depth + 1
+    events += [("L", extra), ("R", extra)]
+    events += [("R", i) for i in range(depth, 0, -1)]
+    return IntervalRepresentation(tuple(events))
