@@ -9,8 +9,9 @@ Subcommands::
     tokenslide crosscheck --class proper --n 6 [--count N] [--jobs J]
 
 Exit codes: 0 for YES or success, 1 for NO or any mismatch, 2 for usage,
-parse, or input errors.  Identical invocations produce identical bytes;
-the only randomness is the explicit seed.
+parse, or input errors, or an ``--out`` path that cannot be opened for
+writing (``ERROR OUTPUT: cannot write <path>: <reason>``).  Identical
+invocations produce identical bytes; the only randomness is the seed.
 """
 
 from __future__ import annotations
@@ -249,7 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return globals()[f"cmd_{args.command}"](args)
+    try:
+        return globals()[f"cmd_{args.command}"](args)
+    except OSError as err:
+        # _read reports input failures itself, so this came from opening --out
+        if args.out is None or err.filename != args.out:
+            raise
+        return _fail(f"ERROR OUTPUT: cannot write {args.out}: {err.strerror}")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ from typing import Iterator
 from .graphs import Graph
 from .instances import Instance
 from .intervals import IntervalRepresentation
-from .trivially_perfect import ContainmentForest, containment_forest
 
 
 class GenerationError(ValueError):
@@ -181,14 +180,19 @@ def _tree_to_representation(children: list[list[int]]) -> IntervalRepresentation
 
 
 def _random_antichain(
-    forest: ContainmentForest, k: int, rng: random.Random
+    rep: IntervalRepresentation, k: int, rng: random.Random
 ) -> tuple[int, ...]:
-    n = forest.n
+    n = rep.n
+    # local ranks: a generated representation caches none until a solver asks
+    left, right = [0] * (n + 1), [0] * (n + 1)
+    for rank, (side, vid) in enumerate(rep.events, start=1):
+        (left if side == "L" else right)[vid] = rank
     for _ in range(400):
         picks: list[int] = []
         candidates = rng.sample(range(1, n + 1), min(n, max(4 * k, k))) if k else []
         for v in candidates:
-            if all(not forest.comparable(v, u) for u in picks):
+            # disjoint, as two intervals of a laminar family meet iff they nest
+            if all(right[u] < left[v] or right[v] < left[u] for u in picks):
                 picks.append(v)
                 if len(picks) == k:
                     return tuple(sorted(picks))
@@ -201,9 +205,8 @@ def _gen_tp(n: int, k: int, seed: int) -> Instance:
     rng = random.Random(("tp", n, k, seed).__repr__())
     children = _random_containment_tree(n, rng)
     rep = _tree_to_representation(children)
-    forest = containment_forest(rep)
-    blue = _random_antichain(forest, k, rng)
-    red = _random_antichain(forest, k, rng)
+    blue = _random_antichain(rep, k, rng)
+    red = _random_antichain(rep, k, rng)
     return Instance(n, rep, None, blue, red)
 
 

@@ -17,7 +17,6 @@ different components never wait for each other.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .blocks import BLUE, RED, block_order, boundary_edges, split_blocks, travel
@@ -27,6 +26,7 @@ from .results import (
     SolverInputError,
     check_tokens,
     no_result,
+    unbalanced_component,
     yes_result,
 )
 
@@ -147,12 +147,9 @@ def solve_proper(
     if len(blue) != len(red):
         return no_result("CARDINALITY_MISMATCH", (len(blue), len(red)))
     if len(p.segments) > 1:
-        balance = Counter(p.component[v] for v in blue)
-        balance.subtract(p.component[v] for v in red)
-        unbalanced = [c for c, diff in balance.items() if diff]
-        if unbalanced:
-            first = p.segments[min(unbalanced)]
-            return no_result("COMPONENT_UNBALANCED", (min(first),))
+        c = unbalanced_component(p.component, blue, red)
+        if c is not None:
+            return no_result("COMPONENT_UNBALANCED", (min(p.segments[c]),))
     if decide:
         return SolveResult("YES")
     pos, component = p.pos, p.component

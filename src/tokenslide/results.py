@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -49,6 +50,13 @@ def check_tokens(label: str, tokens: Iterable[int], structure) -> tuple[int, ...
             "NOT_INDEPENDENT", f"{who}tokens touch each other", pair
         )
     return tokens
+
+
+def unbalanced_component(component, blue, red) -> int | None:
+    """Lowest index in ``component`` with unequal blue and red counts, or None."""
+    balance = Counter(component[v] for v in blue)
+    balance.subtract(component[v] for v in red)
+    return min((c for c, diff in balance.items() if diff), default=None)
 
 
 @dataclass(frozen=True)

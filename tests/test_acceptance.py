@@ -54,18 +54,18 @@ def test_random_proper_instances_all_reachable():
 
 
 def test_solvers_agree_with_exhaustive_search():
-    """Exhaustive sweep: proper n <= 9 with k <= 4, trivially perfect
-    n <= 8 and caterpillars n <= 10 with k <= 3, all ordered
+    """Exhaustive sweep: proper n <= 9 and trivially perfect n <= 10 with
+    k <= 4, and caterpillars n <= 10 with k <= 3, all ordered
     independent-set pairs.  Decisions and move counts must match
     breadth-first search exactly."""
     start = time.perf_counter()
     totals = {}
-    for cls, n_max, k_max in (("proper", 9, 4), ("tp", 8, 3), ("caterpillar", 10, 3)):
+    for cls, n_max, k_max in (("proper", 9, 4), ("tp", 10, 4), ("caterpillar", 10, 3)):
         report = crosscheck(cls, n_max, k_max=k_max)
         assert report.mismatches == (), report.render()
         totals[cls] = report.checked
     assert totals["proper"] > 98_000
-    assert totals["tp"] > 8_000
+    assert totals["tp"] > 253_000
     assert totals["caterpillar"] > 400_000
     assert time.perf_counter() - start < 600.0
 

@@ -87,3 +87,29 @@ def test_tracer_counts_the_edges_a_graph_holds():
     assert vars(tokenslide.Graph)["__init__"] is init
     assert g.m == 5
     assert metrics["graphs.edges_built"] == g.m
+
+
+def test_tracer_times_the_tp_solver(tmp_path, capsys):
+    spans = load("spans")
+    original = tokenslide.solve_tp
+    inst = tokenslide.gen_instance("tp", 9, 2, seed=5)
+    path = tmp_path / "inst.txt"
+    path.write_text(tokenslide.serialize_instance(inst))
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
+    try:
+        assert tokenslide.solve_tp is not original
+        code = tokenslide.cli.main(["solve", "--class", "tp", "--in", str(path)])
+        decided = tokenslide.solve_tp(inst.rep, inst.blue, inst.red, decide=True)
+        metrics = spans.layer_metrics(tracer)
+    finally:
+        restore()
+    out = capsys.readouterr().out
+    assert tokenslide.solve_tp is original
+    assert tokenslide.cli.solve_tp is original
+    assert code == 0 and decided.yes
+    moves = int(out.splitlines()[1].split()[1])
+    assert moves > 0
+    assert metrics["trivially_perfect.solve_s"] > 0
+    assert metrics["trivially_perfect.decide_s"] > 0
+    assert metrics["trivially_perfect.moves"] == moves

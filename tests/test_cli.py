@@ -346,6 +346,24 @@ class TestCrosscheck:
         assert out.splitlines()[-1] == "CHECKED 20 MISMATCHES 0"
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "oracle", "gen", "crosscheck"])
+def test_unwritable_out_exits_2(command, tmp_path, capsys):
+    inst = write(tmp_path, "inst.txt", P8_REP)
+    seq = write(tmp_path, "seq.txt", "MOVES 0\n")
+    args = {
+        "solve": ("--in", inst),
+        "verify": ("--in", inst, "--seq", seq),
+        "oracle": ("--in", inst),
+        "gen": ("--class", "proper", "--n", "8", "--k", "2"),
+        "crosscheck": ("--class", "tp", "--n", "4"),
+    }[command]
+    dest = tmp_path / "absent" / "x.txt"
+    code, out, err = run(capsys, command, *args, "--out", str(dest))
+    assert (code, out) == (2, "")
+    assert err == f"ERROR OUTPUT: cannot write {dest}: No such file or directory\n"
+    assert not dest.parent.exists()
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--class", "chordal"])

@@ -4,6 +4,8 @@ Every expected status and move count below was produced by the
 brute-force BFS oracle before the solver was written.
 """
 
+import tracemalloc
+
 import pytest
 
 from tokenslide.generate import (
@@ -15,11 +17,7 @@ from tokenslide.graphs import Graph, validate_sequence
 from tokenslide.intervals import parse_representation
 from tokenslide.oracle import SlideSpace
 from tokenslide.results import SolverInputError
-from tokenslide.trivially_perfect import (
-    containment_forest,
-    solve_tp,
-    tp_twin_pairs,
-)
+from tokenslide.trivially_perfect import prepare_tp, solve_tp
 
 K13 = "L1 L2 R2 L3 R3 L4 R4 R1"
 K14 = "L1 L2 R2 L3 R3 L4 R4 L5 R5 R1"
@@ -33,46 +31,61 @@ def rep(text):
 
 
 class TestForestParse:
+    """prepare_tp reads the nesting from the endpoint string."""
+
     def test_star_of_stars(self):
-        f = containment_forest(rep(STAR5))
-        assert f.roots == (1,)
-        assert f.children[1] == (2, 5)
-        assert f.children[2] == (3, 4)
-        assert [v for v in range(1, 6) if 3 in f.children[v]] == [2]
-        assert 1 in f.roots and all(1 not in c for c in f.children)
+        p = prepare_tp(rep(STAR5))
+        assert p.roots == (1,)
+        assert p.component == [0] * 6
+        # 3 and 4 lie in 2, and 2 and 5 lie in 1: each pair meets there
+        assert solve_tp(p, (3,), (4,)).moves == ((3, 2), (2, 4))
+        assert solve_tp(p, (2,), (5,)).moves == ((2, 1), (1, 5))
+        assert solve_tp(p, (3,), (2,)).moves == ((3, 2),)
+        assert solve_tp(p, (2,), (1,)).moves == ((2, 1),)
 
     def test_isolated_roots(self):
-        f = containment_forest(rep("L1 R1 L2 R2"))
-        assert f.roots == (1, 2)
-        assert f.children[1] == () and f.children[2] == ()
+        p = prepare_tp(rep("L1 R1 L2 R2"))
+        assert p.roots == (1, 2)
+        assert p.component == [0, 0, 1]
 
     def test_two_components(self):
-        f = containment_forest(rep(TWO_COMPONENTS))
-        assert f.roots == (1, 4)
-        assert f.children[1] == (2, 3)
-        assert f.children[4] == (5, 6)
-
-    def test_preorder_ranges_nest(self):
-        f = containment_forest(rep(STAR5))
-        assert f.tin[1] < f.tin[2] < f.tin[3] <= f.tout[3] <= f.tout[2] <= f.tout[1]
-        assert f.tout[3] < f.tin[4]
+        p = prepare_tp(rep(TWO_COMPONENTS))
+        assert p.roots == (1, 4)
+        assert p.component == [0, 0, 0, 0, 1, 1, 1]
+        assert solve_tp(p, (2,), (3,)).moves == ((2, 1), (1, 3))
+        assert solve_tp(p, (5,), (6,)).moves == ((5, 4), (4, 6))
 
     def test_partial_overlap_rejected(self):
         with pytest.raises(SolverInputError) as exc:
-            containment_forest(rep("L1 L2 R1 R2"))
+            prepare_tp(rep("L1 L2 R1 R2"))
         assert exc.value.kind == "NOT_TRIVIALLY_PERFECT"
+        assert str(exc.value) == "interval 1 partially overlaps an open interval"
 
 
 class TestTwinPairs:
+    def twins(self, text):
+        with pytest.raises(SolverInputError) as exc:
+            prepare_tp(rep(text))
+        assert exc.value.kind == "STRONG_TWINS"
+        return exc.value.details
+
     def test_nested_pair(self):
-        assert tp_twin_pairs(containment_forest(rep("L1 L2 R2 R1"))) == ((1, 2),)
+        assert self.twins("L1 L2 R2 R1") == ((1, 2),)
 
     def test_chain(self):
-        pairs = tp_twin_pairs(containment_forest(rep("L1 L2 L3 R3 R2 R1")))
-        assert pairs == ((1, 2), (2, 3))
+        assert self.twins("L1 L2 L3 R3 R2 R1") == ((1, 2), (2, 3))
+
+    def test_sorted_across_the_word(self):
+        assert self.twins("L4 L3 R3 L1 L2 R2 R1 R4") == ((1, 2),)
+        assert self.twins("L5 L4 R4 R5 L1 L3 R3 R1 L2 R2") == ((1, 3), (4, 5))
 
     def test_star_is_twin_free(self):
-        assert tp_twin_pairs(containment_forest(rep(K13))) == ()
+        assert prepare_tp(rep(K13)).roots == (1,)
+
+    def test_laminarity_checked_before_twins(self):
+        with pytest.raises(SolverInputError) as exc:
+            prepare_tp(rep("L1 L2 R2 R1 L3 L4 R3 R4"))
+        assert exc.value.kind == "NOT_TRIVIALLY_PERFECT"
 
 
 class TestSolveYes:
@@ -244,3 +257,17 @@ class TestAgainstOracle:
                             checked += 1
         assert checked > 2000
         assert yes_count > 400
+
+
+def test_prepared_value_holds_no_forest():
+    # a component index per vertex takes about 8 bytes here; children
+    # tuples, preorder ranges and a stored postorder took about 65
+    rep = gen_instance("tp", 10_000, 30, seed=30).rep
+    tracemalloc.start()
+    try:
+        p = prepare_tp(rep)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert p.roots == (1,)
+    assert held <= 24 * rep.n, held / rep.n
