@@ -23,12 +23,16 @@ was recorded before the scheduler came to emit a clear run of spine
 cells in one step.  The tp library and sized digests, of every tp
 schedule on small nestings and of full and decide-mode tp answers at
 size, were recorded before the tp solver came to work straight from the
-endpoint string.  A change that is meant to alter generated
+endpoint string.  The prepared digest, of every ``prepare_*`` value on
+small and sized structures, was recorded before each class came to be
+prepared in one pass over its structure.  A change that is meant to alter generated
 instances, schedules or witnesses must re-record them and say why.
 """
 
+import dataclasses
 import hashlib
 import random
+from collections.abc import KeysView
 
 import pytest
 
@@ -153,6 +157,17 @@ TP_SIZED_K = (3, 10, 30)
 TP_SIZED_SEEDS = range(2)
 NEST_DEPTH = 1_000
 TP_SIZED_DIGEST = "42ee5898388d81870a5656d438f139ea1bed424a7f43f2e8ca5f9a19235f4fe6"
+
+# every prepare_* value (its fields, or the error's kind, message and
+# details): prepare_proper and prepare_tp on every proper and tp
+# representation with at most 8 intervals, each also with its ids
+# reversed, and on seeded random endpoint strings of the same sizes;
+# prepare_caterpillar on the graphs of all of those, on every caterpillar
+# and seeded random forests with at most 8 vertices, and on the graphs of
+# the sized caterpillar digest
+PREPARED_SMALL_N = range(1, 9)
+PREPARED_RANDOM = 40
+PREPARED_DIGEST = "e7c17d901de48e6170697e96b4324719c63eb82eb0187c341692e2cedf57c436"
 
 
 def instances_digest(cls: str) -> str:
@@ -483,6 +498,91 @@ def tp_sized_digest() -> tuple[str, dict]:
     return h.hexdigest(), reasons
 
 
+def plain(value):
+    """A prepared field with its sets and dicts sorted, so its repr does
+    not depend on hash or insertion order; a set keeps a tag, since it
+    compares unequal to a list."""
+    if isinstance(value, dict):
+        return sorted((key, plain(v)) for key, v in value.items())
+    if isinstance(value, (set, frozenset, KeysView)):
+        return ("set", sorted(value))
+    if isinstance(value, list):
+        return list(map(plain, value))
+    if isinstance(value, tuple):  # a NamedTuple becomes a plain tuple
+        return tuple(map(plain, value))
+    return value
+
+
+def prepared_row(prepare, structure):
+    """The prepared value's fields other than the structure itself, or
+    the error it raises."""
+    try:
+        p = prepare(structure)
+    except SolverInputError as err:
+        return ("ERROR", err.kind, str(err), err.details)
+    fields = []
+    for f in dataclasses.fields(p):
+        value = getattr(p, f.name)
+        if f.name in ("rep", "graph"):
+            assert value is structure
+        else:
+            fields.append((f.name, plain(value)))
+    return tuple(fields)
+
+
+def prepared_structures():
+    """(label, representation or None, graph) for the prepared digest."""
+    rng = random.Random("prepared")
+    for n in PREPARED_SMALL_N:
+        reps = [*enumerate_proper_representations(n), *enumerate_tp_representations(n)]
+        reps += [
+            IntervalRepresentation(tuple((side, n + 1 - v) for side, v in rep.events))
+            for rep in reps
+        ]
+        for _ in range(PREPARED_RANDOM):
+            ends = [(side, v) for v in range(1, n + 1) for side in "LR"]
+            rng.shuffle(ends)
+            opened, events = set(), []
+            for _, v in ends:  # the first end of an id to come is its left
+                side = "R" if v in opened else "L"
+                opened.add(v)
+                events.append((side, v))
+            reps.append(IntervalRepresentation(tuple(events)))
+        for rep in reps:
+            yield rep.serialize(), rep, Graph.from_representation(rep)
+        graphs = list(enumerate_caterpillar_graphs(n))
+        for _ in range(PREPARED_RANDOM):
+            label = list(range(1, n + 1))
+            rng.shuffle(label)
+            edges = [
+                (label[v - 1], label[rng.randrange(v - 1)])
+                for v in range(2, n + 1)
+                if rng.random() < 0.9
+            ]
+            graphs.append(Graph(n, edges))
+        for g in graphs:
+            yield f"{n} {g.edges()}", None, g
+    last = None
+    for label, g, _, _ in sized_cases():  # each graph comes in one run
+        if g is not last:
+            last = g
+            yield label, None, g
+
+
+def prepared_digest() -> tuple[str, int]:
+    h = hashlib.sha256()
+    rows = 0
+    for label, rep, g in prepared_structures():
+        h.update(f"{label}\n".encode())
+        calls = [(prepare_caterpillar, g)]
+        if rep is not None:
+            calls += [(prepare_proper, rep), (prepare_tp, rep)]
+        for prepare, structure in calls:
+            h.update(f"{prepare.__name__} {prepared_row(prepare, structure)}\n".encode())
+            rows += 1
+    return h.hexdigest(), rows
+
+
 @pytest.mark.parametrize("cls", sorted(INSTANCE_DIGESTS))
 def test_generated_instances_match_digest(cls):
     assert instances_digest(cls) == INSTANCE_DIGESTS[cls]
@@ -527,3 +627,7 @@ def test_sized_tp_answers_match_digest():
     digest, reasons = tp_sized_digest()
     assert reasons.keys() >= {None, "MERGE_CASE4", "MERGE_CASE5"}, reasons
     assert digest == TP_SIZED_DIGEST
+
+
+def test_prepared_values_match_digest():
+    assert prepared_digest() == (PREPARED_DIGEST, 5_250)
