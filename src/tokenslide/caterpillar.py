@@ -92,16 +92,21 @@ def _structure(adj, comp: list[int], cells: AbstractSet[int] | None = None) -> _
     if cells is not None:
         adj = {v: [w for w in adj[v] if w in cells] for v in comp}
     core = [v for v in comp if len(adj[v]) >= 2]
-    core_set = set(core)
-    # walk the core both ways from its smallest vertex; a fork stops the
-    # walk short of some core vertex
+    # walk the core (the cells of two or more neighbours) both ways from
+    # its smallest vertex; a fork stops the walk short of some core vertex
     halves: list[list[int]] = []
-    for nxt in [w for w in adj[core[0]] if w in core_set] or [None]:
+    for nxt in [w for w in adj[core[0]] if len(adj[w]) >= 2] or [None]:
         half, prev, cur = [], core[0], nxt
         while cur is not None:
             half.append(cur)
-            ahead = [w for w in adj[cur] if w in core_set and w != prev]
-            prev, cur = cur, (ahead[0] if len(ahead) == 1 else None)
+            ahead = None
+            for w in adj[cur]:
+                if w != prev and len(adj[w]) >= 2:
+                    if ahead is not None:  # a fork
+                        ahead = None
+                        break
+                    ahead = w
+            prev, cur = cur, ahead
         halves.append(half)
     path = halves[0][::-1] + [core[0]]
     if len(halves) > 1:
@@ -111,7 +116,7 @@ def _structure(adj, comp: list[int], cells: AbstractSet[int] | None = None) -> _
             "NOT_CATERPILLAR", "non-leaf vertices do not form a path"
         )
     spine = min(path, path[::-1])  # smaller end first
-    group = {s: i for i, s in enumerate(spine)}
+    group = dict(zip(spine, range(len(spine))))
     # leaves come in ascending order, so each group's list stays sorted
     leaves: list[list[int]] = [[] for _ in spine]
     for v in comp:
@@ -703,7 +708,7 @@ def prepare_caterpillar(g: Graph) -> PreparedCaterpillar:
     twins = []
     for comp in comps:
         # a whole component is a tree iff its degrees sum to 2 (size - 1)
-        if sum(len(adj[v]) for v in comp) != 2 * len(comp) - 2:
+        if sum(map(len, map(adj.__getitem__, comp))) != 2 * len(comp) - 2:
             raise SolverInputError(
                 "CYCLIC", "graph contains a cycle", (comp[0],)
             )

@@ -34,11 +34,10 @@ from .instances import (
     serialize_instance,
     serialize_sequence,
 )
-from .intervals import GraphClass
 from .oracle import DEFAULT_STATE_CAP, bfs
-from .proper import solve_proper
+from .proper import prepare_proper, solve_proper
 from .results import SolveResult, SolverInputError
-from .trivially_perfect import solve_tp
+from .trivially_perfect import prepare_tp, solve_tp
 
 
 def _read(path: str | None) -> str:
@@ -64,21 +63,24 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _pick_class(inst: Instance, requested: str) -> str:
-    """Resolve --class auto by the cheapest structural checks first."""
-    if requested != "auto":
-        return requested
-    if inst.rep is not None:
-        shape = inst.rep.classify()
-        if shape is GraphClass.PROPER:
-            return "proper"
-        if shape is GraphClass.TRIVIALLY_PERFECT:
-            return "tp"
-    return "caterpillar"
-
-
-def _run_class_solver(cls: str, inst: Instance, auto: bool) -> SolveResult:
-    if cls in ("proper", "tp"):
+def _run_class_solver(cls: str, inst: Instance) -> SolveResult:
+    """Run the requested solver.  ``auto`` resolves the class by preparing:
+    proper, then trivially perfect when the endpoints close out of order,
+    then caterpillar when intervals also partially overlap.  The prepared
+    value goes to the solver, so the endpoints are analysed once."""
+    if cls == "auto" and inst.rep is not None:
+        for prepare, solve, miss in (
+            (prepare_proper, solve_proper, "NOT_PROPER"),
+            (prepare_tp, solve_tp, "NOT_TRIVIALLY_PERFECT"),
+        ):
+            try:
+                prepared = prepare(inst.rep)
+            except SolverInputError as err:
+                if err.kind != miss:
+                    raise
+                continue
+            return solve(prepared, inst.blue, inst.red)
+    elif cls in ("proper", "tp"):
         if inst.rep is None:
             raise SolverInputError(
                 "UNSUPPORTED_CLASS",
@@ -90,7 +92,7 @@ def _run_class_solver(cls: str, inst: Instance, auto: bool) -> SolveResult:
     try:
         return solve_caterpillar(inst.graph, inst.blue, inst.red)
     except SolverInputError as err:
-        if auto and err.kind in ("NOT_CATERPILLAR", "CYCLIC"):
+        if cls == "auto" and err.kind in ("NOT_CATERPILLAR", "CYCLIC"):
             raise SolverInputError(
                 "UNSUPPORTED_CLASS",
                 "instance fits none of: proper interval, trivially "
@@ -109,9 +111,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         inst = parse_instance(_read(args.inp))
     except InstanceFormatError as err:
         return _fail(f"ERROR PARSE: {err}")
-    cls = _pick_class(inst, args.cls)
     try:
-        res = _run_class_solver(cls, inst, args.cls == "auto")
+        res = _run_class_solver(args.cls, inst)
     except SolverInputError as err:
         return _fail(f"ERROR {err.kind}: {err}")
     with _open_out(args.out) as out:

@@ -60,11 +60,20 @@ class Graph:
 
     def touching(self, vertices: Iterable[int]) -> tuple[int, int] | None:
         """The first adjacent pair among ``vertices``, smaller id first,
-        or None for an independent set."""
+        or None for an independent set.  Costs O(min(degree, k log degree))
+        per vertex for k vertices."""
         vs, adj = set(vertices), self.adj
         for v in vs:
-            if not vs.isdisjoint(adj[v]):
-                w = next(w for w in adj[v] if w in vs)
+            near = adj[v]
+            if len(near) > len(vs):  # bisect each vertex into the sorted adjacency
+                last = len(near) - 1
+                hits = [w for w in vs if near[bisect_left(near, w, 0, last)] == w]
+            elif vs.isdisjoint(near):
+                continue
+            else:
+                hits = [w for w in near if w in vs]
+            if hits:
+                w = min(hits)
                 return (v, w) if v < w else (w, v)
         return None
 

@@ -186,7 +186,10 @@ def parse_sequence(text: str, initial: tuple[int, ...]) -> ReconfigSequence:
             src, dst = line.split()
         except ValueError:
             raise InstanceFormatError(f"bad move line: {line!r}") from None
-        if not (_is_number(src) and _is_number(dst)):
+        # _is_number on both fields, checking the whole line where it can
+        if not (src.isdigit() and dst.isdigit()
+                and (line.isascii() or src.isascii() and dst.isascii())
+                and (len(line) <= 4300 or len(src) <= 4300 and len(dst) <= 4300)):
             raise InstanceFormatError(f"bad move line: {line!r}")
         moves.append((int(src), int(dst)))
     return ReconfigSequence(tuple(sorted(initial)), tuple(moves))

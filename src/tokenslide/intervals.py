@@ -97,24 +97,6 @@ class IntervalRepresentation:
                 return GraphClass.NEITHER
         return GraphClass.TRIVIALLY_PERFECT
 
-    def component_segments(self) -> list[list[int]]:
-        """Vertex ids of each connected component, split where the count
-        of open intervals returns to zero; components in left-to-right
-        order, vertices in left-rank order within each."""
-        components: list[list[int]] = []
-        current: list[int] = []
-        open_count = 0
-        for side, vid in self.events:
-            if side == "L":
-                current.append(vid)
-                open_count += 1
-            else:
-                open_count -= 1
-                if open_count == 0:
-                    components.append(current)
-                    current = []
-        return components
-
     def intersection_edges(self) -> Iterator[tuple[int, int]]:
         """Edges of the intersection graph, yielded once each as (smaller
         id, larger id) by a left-to-right sweep."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocks import BLUE, RED, block_order, boundary_edges, split_blocks, travel
-from .intervals import GraphClass, IntervalRepresentation
+from .intervals import IntervalRepresentation
 from .results import (
     SolveResult,
     SolverInputError,
@@ -29,43 +29,6 @@ from .results import (
     unbalanced_component,
     yes_result,
 )
-
-
-def canonical_order(rep: IntervalRepresentation) -> tuple[int, ...]:
-    """Vertices sorted by left endpoint; the right endpoints close in the
-    same order, so position in this tuple acts as a linear layout."""
-    cls = rep.classify()
-    if cls is not GraphClass.PROPER:
-        raise SolverInputError(
-            "NOT_PROPER",
-            "left and right endpoints close in different orders",
-        )
-    return tuple(rep.left_order())
-
-
-def _reach(rep: IntervalRepresentation, order: tuple[int, ...]):
-    """Per-canonical-position closed neighborhood bounds.
-
-    hi[i] counts left endpoints before interval i closes, lo[i] mirrors
-    it from the right; N[i] is exactly the positions lo[i]..hi[i].
-    """
-    n = len(order)
-    pos = {v: i for i, v in enumerate(order, start=1)}
-    hi = [0] * (n + 1)
-    lo = [0] * (n + 1)
-    lefts = 0
-    for side, vid in rep.events:
-        if side == "L":
-            lefts += 1
-        else:
-            hi[pos[vid]] = lefts
-    rights = 0
-    for side, vid in reversed(rep.events):
-        if side == "R":
-            rights += 1
-        else:
-            lo[pos[vid]] = n + 1 - rights
-    return pos, hi, lo
 
 
 def _strong_twin_pairs(order, hi, lo) -> tuple[tuple[int, int], ...]:
@@ -109,10 +72,37 @@ class PreparedProper:
 
 
 def prepare_proper(rep: IntervalRepresentation) -> PreparedProper:
-    """Analyse the graph once; raises the structural SolverInputError
-    (NOT_PROPER, STRONG_TWINS) that solve_proper would."""
-    order = canonical_order(rep)
-    pos, hi, lo = _reach(rep, order)
+    """Analyse the graph in one pass over its endpoints; raises the
+    structural SolverInputError (NOT_PROPER, STRONG_TWINS) that
+    solve_proper would.  The k-th right endpoint must close the k-th
+    interval opened.  hi[i] counts the left endpoints before interval i
+    closes, lo[i] is one more than the right endpoints before it opens,
+    and N[i] is exactly the positions lo[i]..hi[i]."""
+    n = rep.n
+    order: list[int] = []
+    pos: dict[int, int] = {}
+    hi = [0] * (n + 1)
+    lo = [0] * (n + 1)
+    component = [0] * (n + 1)
+    ends = [0]  # the position after which each component starts
+    lefts = rights = 0
+    for side, vid in rep.events:
+        if side == "L":
+            order.append(vid)
+            lefts += 1
+            pos[vid] = lefts
+            lo[lefts] = rights + 1
+            component[vid] = len(ends) - 1
+        else:
+            if order[rights] != vid:
+                raise SolverInputError(
+                    "NOT_PROPER",
+                    "left and right endpoints close in different orders",
+                )
+            rights += 1
+            hi[rights] = lefts
+            if rights == lefts:  # no interval open: a component ends
+                ends.append(rights)
     twins = _strong_twin_pairs(order, hi, lo)
     if twins:
         raise SolverInputError(
@@ -120,12 +110,8 @@ def prepare_proper(rep: IntervalRepresentation) -> PreparedProper:
             "vertices with identical closed neighborhoods present",
             twins,
         )
-    segments = rep.component_segments()
-    component = [0] * (rep.n + 1)  # the first component needs no pass
-    for c, segment in enumerate(segments[1:], start=1):
-        for v in segment:
-            component[v] = c
-    return PreparedProper(rep, order, pos, hi, lo, segments, component)
+    segments = [order[a:b] for a, b in zip(ends, ends[1:])]
+    return PreparedProper(rep, tuple(order), pos, hi, lo, segments, component)
 
 
 def solve_proper(

@@ -39,28 +39,30 @@ def prepare_tp(rep: IntervalRepresentation) -> PreparedTP:
     """Analyse the graph once; raises the structural SolverInputError
     (NOT_TRIVIALLY_PERFECT, STRONG_TWINS) that solve_tp would."""
     component = [0] * (rep.n + 1)
+    children = [0] * (rep.n + 1)
+    last_child = [0] * (rep.n + 1)
     roots: list[int] = []
     twins: list[tuple[int, int]] = []
-    stack: list[list[int]] = []  # [vid, children, last child] per open interval
+    stack: list[int] = []  # the open intervals, innermost last
     for side, vid in rep.events:
         if side == "L":
             if stack:
-                stack[-1][1] += 1
-                stack[-1][2] = vid
+                up = stack[-1]
+                children[up] += 1
+                last_child[up] = vid
             else:
                 roots.append(vid)
                 c = len(roots) - 1
             component[vid] = c
-            stack.append([vid, 0, 0])
-        elif not stack or stack[-1][0] != vid:
+            stack.append(vid)
+        elif not stack or stack.pop() != vid:
             raise SolverInputError(
                 "NOT_TRIVIALLY_PERFECT",
                 f"interval {vid} partially overlaps an open interval",
             )
-        else:
-            _, children, child = stack.pop()
-            if children == 1:  # a sole child shares its closed neighborhood
-                twins.append((vid, child) if vid < child else (child, vid))
+        elif children[vid] == 1:  # a sole child shares its closed neighborhood
+            child = last_child[vid]
+            twins.append((vid, child) if vid < child else (child, vid))
     if twins:
         raise SolverInputError(
             "STRONG_TWINS",

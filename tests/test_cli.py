@@ -120,6 +120,39 @@ class TestSolve:
         assert err == f"ERROR PARSE: n={MAX_N + 1} exceeds the limit of {MAX_N}\n"
 
 
+# `solve --class auto` on a representation: instance text, then the exit
+# code, stdout and stderr it gave while auto still classified the
+# endpoints before preparing them
+UNSUPPORTED = "instance fits none of: proper interval, trivially perfect, caterpillar"
+TWINS = "vertices with identical closed neighborhoods present"
+TP5 = "n 5\nrep L1 L2 L3 R3 L4 R4 R2 L5 R5 R1\n"
+AUTO_BYTES = {
+    "proper": (P8_REP, 0, "YES\nMOVES 7\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 8)), ""),
+    "tp": (TP5 + "blue 3 5\nred 4 5\n", 0, "YES\nMOVES 2\n3 2\n2 4\n", ""),
+    "tp-no": (TP5 + "blue 3 4\nred 2 5\n", 1, "NO MERGE_CASE4 2\n", ""),
+    "neither": (P4_NESTED_REP, 0, "YES\nMOVES 3\n1 2\n2 3\n3 4\n", ""),
+    "proper-twins": ("n 3\nrep L1 L2 L3 R1 R2 R3\nblue 1\nred 3\n", 2, "",
+                     f"ERROR STRONG_TWINS: {TWINS}\n"),
+    "tp-twins": ("n 3\nrep L1 L2 L3 R3 R2 R1\nblue 1\nred 3\n", 2, "",
+                 f"ERROR STRONG_TWINS: {TWINS}\n"),
+    "tp-touching": (TP5 + "blue 2 3\nred 4 5\n", 2, "",
+                    "ERROR NOT_INDEPENDENT: blue tokens touch each other\n"),
+    "cyclic": ("n 3\nrep L1 L2 L3 R1 R3 R2\nblue 1\nred 3\n", 2, "",
+               f"ERROR UNSUPPORTED_CLASS: {UNSUPPORTED}\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AUTO_BYTES))
+def test_auto_class_prepares_without_classifying(name, tmp_path, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("auto classified the endpoints")
+
+    monkeypatch.setattr(IntervalRepresentation, "classify", refuse)
+    text, code, out, err = AUTO_BYTES[name]
+    path = write(tmp_path, "inst.txt", text)
+    assert run(capsys, "solve", "--class", "auto", "--in", path) == (code, out, err)
+
+
 class TestVerify:
     def test_solve_output_verifies(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.txt", P8_REP)

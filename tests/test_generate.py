@@ -89,7 +89,7 @@ def test_proper_enumeration_counts():
 def test_proper_enumeration_all_valid():
     for rep in enumerate_proper_representations(5):
         assert rep.classify() is GraphClass.PROPER
-        assert len(rep.component_segments()) == 1
+        assert len(Graph.from_representation(rep).components()) == 1
 
 
 def test_tp_enumeration_counts():

@@ -7,6 +7,7 @@ from tokenslide.intervals import (
     RepresentationError,
     parse_representation,
 )
+from tokenslide.proper import prepare_proper
 
 K3 = "L1 L2 L3 R1 R2 R3"
 P3 = "L1 L2 R1 L3 R2 R3"
@@ -91,13 +92,14 @@ def test_left_right_orders():
     assert rep.right_order() == [1, 2, 3]
 
 
+# prepare_proper splits the components in its one pass over the endpoints
 def test_component_segments_split_at_zero_open():
-    rep = parse_representation("L1 L2 R1 R2 L3 R3")
-    assert rep.component_segments() == [[1, 2], [3]]
+    rep = parse_representation("L1 L2 R1 L3 R2 R3 L4 R4")
+    assert prepare_proper(rep).segments == [[1, 2, 3], [4]]
 
 
 def test_component_segments_connected():
-    assert parse_representation(P3).component_segments() == [[1, 2, 3]]
+    assert prepare_proper(parse_representation(P3)).segments == [[1, 2, 3]]
 
 
 def test_intersection_edges_k3():

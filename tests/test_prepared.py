@@ -18,7 +18,7 @@ from tokenslide.generate import (
     enumerate_tp_representations,
 )
 from tokenslide.graphs import Graph, find_strong_twins
-from tokenslide.intervals import parse_representation
+from tokenslide.intervals import IntervalRepresentation, parse_representation
 from tokenslide.proper import prepare_proper, solve_proper
 from tokenslide.results import SolverInputError
 from tokenslide.trivially_perfect import prepare_tp, solve_tp
@@ -158,6 +158,37 @@ def test_prepare_raises_the_structural_errors(cls, structure, kind, message, det
         assert info.value.kind == kind
         assert str(info.value) == message
         assert info.value.details == details
+
+
+class CountedEvents(tuple):
+    """An event tuple that counts how often it is traversed."""
+
+    traversals = 0
+
+    def __iter__(self):
+        CountedEvents.traversals += 1
+        return super().__iter__()
+
+    def __reversed__(self):
+        CountedEvents.traversals += 1
+        return iter(self[::-1])  # a slice is a plain tuple
+
+
+@pytest.mark.parametrize(
+    "prepare,text",
+    [
+        (prepare_proper, "L1 L2 R1 L3 R2 L4 R3 R4 L5 R5"),
+        (prepare_tp, "L1 L2 L3 R3 L4 R4 R2 L5 R5 R1 L6 R6"),
+    ],
+    ids=["proper", "tp"],
+)
+def test_prepare_reads_the_endpoints_once(prepare, text, monkeypatch):
+    events = CountedEvents(parse_representation(text).events)
+    rep = IntervalRepresentation(events)
+    monkeypatch.setattr(CountedEvents, "traversals", 0)
+    prepared = prepare(rep)
+    assert CountedEvents.traversals == 1
+    assert prepared == prepare(parse_representation(text))
 
 
 def test_disconnected_representation_is_prepared():

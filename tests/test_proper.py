@@ -19,9 +19,9 @@ from tokenslide.generate import (
 )
 from tokenslide.blocks import BLUE, RED, block_order, boundary_edges, split_blocks
 from tokenslide.graphs import Graph, find_strong_twins, validate_sequence
-from tokenslide.intervals import IntervalRepresentation, parse_representation
+from tokenslide.intervals import GraphClass, IntervalRepresentation, parse_representation
 from tokenslide.oracle import SlideSpace, bfs
-from tokenslide.proper import canonical_order, prepare_proper, solve_proper
+from tokenslide.proper import prepare_proper, solve_proper
 from tokenslide.results import SolverInputError
 
 # Path on 36 vertices with nine tokens per side, chosen so the colored
@@ -41,9 +41,9 @@ def wide_rep():
 
 def proper_blocks(rep, blue, red):
     """The blocks of the colored string ``solve_proper`` builds: blue
-    starts and red targets keyed by canonical position, as
-    ``prepare_proper`` maps them."""
-    pos = {v: i for i, v in enumerate(canonical_order(rep), start=1)}
+    starts and red targets keyed by canonical position: the left order,
+    as ``prepare_proper`` maps it."""
+    pos = {v: i for i, v in enumerate(rep.left_order(), start=1)}
     return split_blocks([(pos[v], BLUE, v) for v in blue] + [(pos[v], RED, v) for v in red])
 
 
@@ -97,26 +97,33 @@ def processing_order(rep, blue, red):
 
 
 class TestCanonicalOrder:
+    """The canonical order is the left order of a proper representation;
+    ``prepare_proper`` keeps it for a twin-free one."""
+
     def test_path_is_identity(self):
-        assert canonical_order(path_representation(5)) == (1, 2, 3, 4, 5)
+        assert prepare_proper(path_representation(5)).order == (1, 2, 3, 4, 5)
 
     def test_relabeled_path(self):
         rep = parse_representation("L2 L3 R2 L1 R3 R1")
-        assert canonical_order(rep) == (2, 3, 1)
+        assert prepare_proper(rep).order == (2, 3, 1)
 
     def test_relabeled_edge(self):
+        # an edge is a twin pair, so only the representation gives its order
         rep = parse_representation("L2 L1 R2 R1")
-        assert canonical_order(rep) == (2, 1)
+        assert rep.classify() is GraphClass.PROPER
+        assert tuple(rep.left_order()) == (2, 1)
 
     def test_rejects_nested(self):
         rep = parse_representation("L1 L2 R2 R1")
         with pytest.raises(SolverInputError) as exc:
-            canonical_order(rep)
+            prepare_proper(rep)
         assert exc.value.kind == "NOT_PROPER"
 
     def test_accepts_disconnected(self):
+        # 3 and 1 are a twin pair next to the isolated 2
         rep = parse_representation("L2 R2 L3 L1 R3 R1")
-        assert canonical_order(rep) == (2, 3, 1)
+        assert rep.classify() is GraphClass.PROPER
+        assert tuple(rep.left_order()) == (2, 3, 1)
 
 
 class TestBuildString:
@@ -455,10 +462,8 @@ class TestAgainstOracle:
         checked = 0
         for n in range(2, 7):
             for rep in enumerate_proper_representations(n):
-                if len(rep.component_segments()) > 1:
-                    continue
                 g = Graph.from_representation(rep)
-                if find_strong_twins(g):
+                if len(g.components()) > 1 or find_strong_twins(g):
                     continue
                 space = SlideSpace(g)
                 for k in (1, 2):
