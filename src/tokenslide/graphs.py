@@ -63,18 +63,21 @@ class Graph:
         or None for an independent set.  Costs O(min(degree, k log degree))
         per vertex for k vertices."""
         vs, adj = set(vertices), self.adj
+        # bisecting a vertex costs several neighbour reads, so a short
+        # adjacency is read whole
+        limit = 8 * len(vs)
         for v in vs:
             near = adj[v]
-            if len(near) > len(vs):  # bisect each vertex into the sorted adjacency
+            if len(near) <= limit:
+                if vs.isdisjoint(near):
+                    continue
+                w = next(w for w in near if w in vs)
+            else:  # bisect each vertex into the sorted adjacency
                 last = len(near) - 1
-                hits = [w for w in vs if near[bisect_left(near, w, 0, last)] == w]
-            elif vs.isdisjoint(near):
-                continue
-            else:
-                hits = [w for w in near if w in vs]
-            if hits:
-                w = min(hits)
-                return (v, w) if v < w else (w, v)
+                w = min((w for w in vs if near[bisect_left(near, w, 0, last)] == w), default=0)
+                if not w:
+                    continue
+            return (v, w) if v < w else (w, v)
         return None
 
     def bfs_distances(self, source: int) -> list[int]:

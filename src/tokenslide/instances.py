@@ -32,7 +32,13 @@ from functools import cached_property
 from itertools import chain, islice
 
 from .graphs import Graph, ReconfigSequence
-from .intervals import IntervalRepresentation, RepresentationError, _is_number, parse_representation
+from .intervals import (
+    MAX_DIGITS,
+    IntervalRepresentation,
+    RepresentationError,
+    _is_number,
+    parse_representation,
+)
 
 
 MAX_N = 10**6  # Graph(n, ...) allocates n + 1 lists straight from the n line
@@ -189,7 +195,7 @@ def parse_sequence(text: str, initial: tuple[int, ...]) -> ReconfigSequence:
         # _is_number on both fields, checking the whole line where it can
         if not (src.isdigit() and dst.isdigit()
                 and (line.isascii() or src.isascii() and dst.isascii())
-                and (len(line) <= 4300 or len(src) <= 4300 and len(dst) <= 4300)):
+                and (len(line) <= MAX_DIGITS or max(len(src), len(dst)) <= MAX_DIGITS)):
             raise InstanceFormatError(f"bad move line: {line!r}")
         moves.append((int(src), int(dst)))
     return ReconfigSequence(tuple(sorted(initial)), tuple(moves))

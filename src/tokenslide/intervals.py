@@ -109,13 +109,16 @@ class IntervalRepresentation:
                 active.discard(vid)
 
 
+# Python's default int-string limit: int() raises a plain ValueError on a
+# longer numeral, so the parsers refuse it first
+MAX_DIGITS = 4300
+
+
 def _is_number(field: str) -> bool:
     """True for a nonempty run of the ASCII digits 0-9, the only numerals
     the file formats take: ``int`` would also take a sign, underscores
     between digits, and the decimal digits of other scripts."""
-    # 4,300 digits is Python's default int-string limit; int() raises a
-    # plain ValueError on a longer numeral, so refuse it here
-    return len(field) <= 4300 and field.isdigit() and field.isascii()
+    return len(field) <= MAX_DIGITS and field.isdigit() and field.isascii()
 
 
 def parse_representation(text: str) -> IntervalRepresentation:
