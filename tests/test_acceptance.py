@@ -290,10 +290,10 @@ def test_prepared_decide_cost_does_not_grow_with_n():
 def test_prepared_decide_with_a_token_on_a_star_centre_does_not_grow_with_n():
     """A token on a star's centre has n - 1 neighbours, many more than
     there are tokens, so the token check bisects each token into the
-    centre's adjacency instead of reading it: deciding the pair on the prepared
-    star takes less than 3x the CPU time at n = 100,000 that it takes at
-    n = 10,000.  Timed like test_decision_mode_runs_in_linear_time, over
-    200 calls per size."""
+    centre's adjacency instead of reading it: deciding the pair on the
+    prepared star takes less than 3x the CPU time at n = 100,000 that it
+    takes at n = 10,000.  Timed like test_decision_mode_runs_in_linear_time,
+    over 200 calls per size."""
     runs = []
     for n in (10_000, 100_000):
         p = prepare_caterpillar(Graph(n, [(1, v) for v in range(2, n + 1)]))

@@ -25,8 +25,9 @@ schedule on small nestings and of full and decide-mode tp answers at
 size, were recorded before the tp solver came to work straight from the
 endpoint string.  The prepared digest, of every ``prepare_*`` value on
 small and sized structures, was recorded before each class came to be
-prepared in one pass over its structure.  A change that is meant to alter generated
-instances, schedules or witnesses must re-record them and say why.
+prepared in one pass over its structure.  A change that is meant to
+alter generated instances, schedules or witnesses must re-record them
+and say why.
 """
 
 import dataclasses
