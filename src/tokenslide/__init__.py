@@ -6,7 +6,6 @@ from .crosscheck import CrosscheckReport, Mismatch, crosscheck
 from .generate import GenerationError, gen_instance, quadratic_path_instance
 from .graphs import (
     Graph,
-    ReconfigSequence,
     ValidationResult,
     find_strong_twins,
     validate_sequence,
@@ -40,7 +39,6 @@ __all__ = [
     "IntervalRepresentation",
     "Mismatch",
     "OracleResult",
-    "ReconfigSequence",
     "RepresentationError",
     "SlideSpace",
     "SolveResult",

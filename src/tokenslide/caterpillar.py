@@ -117,14 +117,18 @@ def _structure(adj, comp: list[int], cells: AbstractSet[int] | None = None) -> _
         )
     spine = min(path, path[::-1])  # smaller end first
     group = dict(zip(spine, range(len(spine))))
-    # leaves come in ascending order, so each group's list stays sorted
-    leaves: list[list[int]] = [[] for _ in spine]
+    # leaves come in ascending order, so each group's tips stay sorted;
+    # only the groups that have leaves get a list
+    tips: dict[int, list[int]] = {}
     for v in comp:
         if len(adj[v]) == 1:
             i = group[adj[v][0]]
             group[v] = i
-            leaves[i].append(v)
-    return _Struct(tuple(spine), tuple(tuple(l) for l in leaves), group)
+            tips.setdefault(i, []).append(v)
+    leaves: list[tuple[int, ...]] = [()] * len(spine)
+    for i, tip in tips.items():
+        leaves[i] = tuple(tip)
+    return _Struct(tuple(spine), tuple(leaves), group)
 
 
 def _leaf_tokens(struct: _Struct, tset) -> dict[int, list[int]]:
@@ -333,8 +337,9 @@ class _Scheduler:
         else:
             dirn = self.group[cell] - self.group[nxt]
         dirn = 1 if dirn > 0 else -1
-        moved = self._displace(blocker, dirn)
-        assert moved, "no room to make way"
+        # the loop guards raise explicitly, so python -O cannot strip them
+        if not self._displace(blocker, dirn):
+            raise AssertionError("no room to make way")
 
     def _route(self, token: _Token) -> list[int]:
         """The cells from the one ``token`` stands on to its target."""
@@ -378,7 +383,8 @@ class _Scheduler:
                 while not self._legal(token.current, nxt):
                     self._make_way(token, nxt)
                     guard += 1
-                    assert guard < _MAKE_WAY_LIMIT, "make-way loop did not settle"
+                    if guard >= _MAKE_WAY_LIMIT:
+                        raise AssertionError("make-way loop did not settle")
                 steps = 1
             cells = path[i - 1:i + steps]
             self.out.extend(zip(cells, cells[1:]))
@@ -598,7 +604,8 @@ class _Scheduler:
                     self.out.extend(zip(route, route[1:]))
                     self._relocate(token, route[-1])
                     progress = True
-            assert progress, "final sweep stalled"
+            if not progress:
+                raise AssertionError("final sweep stalled")
 
 
 def _border_edges(blocks, spine) -> list[tuple[int, int]]:

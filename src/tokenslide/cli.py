@@ -25,7 +25,7 @@ from typing import TextIO
 from .crosscheck import CLASSES, crosscheck
 from .caterpillar import solve_caterpillar
 from .generate import GenerationError, gen_instance
-from .graphs import ReconfigSequence, validate_sequence
+from .graphs import validate_sequence
 from .instances import (
     Instance,
     InstanceFormatError,
@@ -107,38 +107,28 @@ def _print_no(res: SolveResult, out: TextIO) -> None:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        inst = parse_instance(_read(args.inp))
-    except InstanceFormatError as err:
-        return _fail(f"ERROR PARSE: {err}")
-    try:
-        res = _run_class_solver(args.cls, inst)
-    except SolverInputError as err:
-        return _fail(f"ERROR {err.kind}: {err}")
+    inst = parse_instance(_read(args.inp))
+    res = _run_class_solver(args.cls, inst)
     with _open_out(args.out) as out:
         if res.yes:
             print("YES", file=out)
-            seq = ReconfigSequence(tuple(sorted(inst.blue)), res.moves)
-            out.write(serialize_sequence(seq))
+            out.write(serialize_sequence(res.moves))
             return 0
         _print_no(res, out)
     return 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        inst = parse_instance(_read(args.inp))
-        text = _read(args.seq)
-        # tolerate sequences saved straight from `solve` output
-        first, _, rest = text.partition("\n")
-        if first.strip() == "YES":
-            text = rest
-        seq = parse_sequence(text, inst.blue)
-    except InstanceFormatError as err:
-        return _fail(f"ERROR PARSE: {err}")
+    inst = parse_instance(_read(args.inp))
+    text = _read(args.seq)
+    # tolerate sequences saved straight from `solve` output
+    first, _, rest = text.partition("\n")
+    if first.strip() == "YES":
+        text = rest
+    moves = parse_sequence(text)
     # a representation is checked by rank overlap, never building its edges
     structure = inst.rep if inst.rep is not None else inst.graph
-    check = validate_sequence(structure, inst.blue, inst.red, seq)
+    check = validate_sequence(structure, inst.blue, inst.red, moves)
     with _open_out(args.out) as out:
         if check.ok:
             print("OK", file=out)
@@ -148,10 +138,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        inst = parse_instance(_read(args.inp))
-    except InstanceFormatError as err:
-        return _fail(f"ERROR PARSE: {err}")
+    inst = parse_instance(_read(args.inp))
     try:
         res = bfs(inst.graph, inst.blue, inst.red, cap=args.budget)
     except ValueError as err:
@@ -159,7 +146,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     with _open_out(args.out) as out:
         if res.status == "REACHABLE":
             print("YES", file=out)
-            out.write(serialize_sequence(res.sequence))
+            out.write(serialize_sequence(res.moves))
             print(f"STATES {res.states_explored}", file=out)
             return 0
         if res.status == "UNREACHABLE":
@@ -172,10 +159,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        inst = gen_instance(args.cls, args.n, args.k, seed=args.seed)
-    except GenerationError as err:
-        return _fail(f"ERROR {err}")
+    inst = gen_instance(args.cls, args.n, args.k, seed=args.seed)
     with _open_out(args.out) as out:
         out.write(serialize_instance(inst))
     return 0
@@ -253,6 +237,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
+    except InstanceFormatError as err:
+        return _fail(f"ERROR PARSE: {err}")
+    except SolverInputError as err:
+        return _fail(f"ERROR {err.kind}: {err}")
+    except GenerationError as err:
+        return _fail(f"ERROR {err}")
     except OSError as err:
         # _read reports input failures itself, so this came from opening --out
         if args.out is None or err.filename != args.out:

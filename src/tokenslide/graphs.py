@@ -1,4 +1,4 @@
-"""Graphs, slide sequences, twin detection, and sequence validation."""
+"""Graphs, twin detection, and slide sequence validation."""
 
 from __future__ import annotations
 
@@ -8,15 +8,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .intervals import IntervalRepresentation
-
-
-@dataclass(frozen=True)
-class ReconfigSequence:
-    """A slide sequence: the initial token set and one (src, dst) vertex
-    pair per step."""
-
-    initial: tuple[int, ...]
-    moves: tuple[tuple[int, int], ...]
 
 
 class Graph:
@@ -211,14 +202,14 @@ def validate_sequence(
 ) -> ValidationResult:
     """Replay a sequence move by move.
 
-    ``seq`` is a ReconfigSequence or a bare iterable of (src, dst) int
-    pairs starting from blue, read once and never copied.  Checks that
-    the sequence starts at blue, ends at red, and that every step slides
-    one token along an edge into an unoccupied vertex while keeping the
-    set independent.  The step index of the first violation is 1-based;
-    step 0 flags a wrong initial set or one that is not independent, as
-    ``g.touching`` finds it, and the last step a wrong final set.  A
-    blue or red vertex outside 1..n, or listed twice, raises ValueError.
+    ``seq`` is an iterable of (src, dst) int pairs starting from blue,
+    read once and never copied.  Checks that the sequence ends at red,
+    and that every step slides one token along an edge into an
+    unoccupied vertex while keeping the set independent.  The step index
+    of the first violation is 1-based; step 0 flags a blue set that is
+    not independent, as ``g.touching`` finds it, and the last step a
+    wrong final set.  A blue or red vertex outside 1..n, or listed
+    twice, raises ValueError.
 
     ``g`` is a Graph or an IntervalRepresentation.  A representation is
     checked without building any edge: O(n + k log k) set-up for k
@@ -228,10 +219,6 @@ def validate_sequence(
     """
     blue, red = tuple(blue), tuple(red)
     blue_set, red_set = set(blue), set(red)
-    if isinstance(seq, ReconfigSequence):
-        if set(seq.initial) != blue_set:
-            return ValidationResult(False, 0, "WRONG_INITIAL_SET")
-        seq = seq.moves
     for label, tokens, vs in (("blue", blue, blue_set), ("red", red, red_set)):
         if len(vs) != len(tokens):
             raise ValueError(f"{label} lists a vertex twice")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
 
-from .graphs import Graph, ReconfigSequence
+from .graphs import Graph
 from .intervals import (
     MAX_DIGITS,
     IntervalRepresentation,
@@ -152,8 +152,7 @@ def parse_instance(text: str) -> Instance:
             raise InstanceFormatError(f"unknown line: {lines[i]!r}")
         i += 1
 
-    if n is None:
-        raise InstanceFormatError("missing n line")
+    # every other line needs n before it, so a file that got here has one
     if rep is None and edge_list is None:
         raise InstanceFormatError("missing rep or edges section")
     if blue is None or red is None:
@@ -174,7 +173,7 @@ def serialize_instance(inst: Instance) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_sequence(text: str, initial: tuple[int, ...]) -> ReconfigSequence:
+def parse_sequence(text: str) -> tuple[tuple[int, int], ...]:
     """Read a sequence file into (src, dst) int pairs, holding one object
     per move beyond the text's own lines."""
     lines = _meaningful_lines(text)
@@ -198,12 +197,12 @@ def parse_sequence(text: str, initial: tuple[int, ...]) -> ReconfigSequence:
                 and (len(line) <= MAX_DIGITS or max(len(src), len(dst)) <= MAX_DIGITS)):
             raise InstanceFormatError(f"bad move line: {line!r}")
         moves.append((int(src), int(dst)))
-    return ReconfigSequence(tuple(sorted(initial)), tuple(moves))
+    return tuple(moves)
 
 
-def serialize_sequence(seq: ReconfigSequence) -> str:
+def serialize_sequence(moves: tuple[tuple[int, int], ...]) -> str:
     # one format call over the flattened pairs: no string per move
-    if not set(map(len, seq.moves)) <= {2}:
+    if not set(map(len, moves)) <= {2}:
         raise ValueError("every move must be a (src, dst) pair")
-    count = len(seq.moves)
-    return f"MOVES {count}\n" + ("%s %s\n" * count) % tuple(chain.from_iterable(seq.moves))
+    count = len(moves)
+    return f"MOVES {count}\n" + ("%s %s\n" * count) % tuple(chain.from_iterable(moves))

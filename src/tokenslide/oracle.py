@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Graph, ReconfigSequence
+from .graphs import Graph
 from .results import check_tokens
 
 DEFAULT_STATE_CAP = 10_000_000
@@ -53,7 +53,7 @@ def slide_neighbors(g: Graph, state: StateKey) -> list[StateKey]:
 class OracleResult:
     status: str  # REACHABLE | UNREACHABLE | CAP_EXCEEDED
     distance: int | None
-    sequence: ReconfigSequence | None
+    moves: tuple[tuple[int, int], ...] | None
     states_explored: int
 
     @property
@@ -139,7 +139,7 @@ def bfs(
     """Shortest slide sequence from blue to red by breadth-first search.
 
     Explores at most ``cap`` states before giving up with CAP_EXCEEDED.
-    On success the sequence replays blue into red in ``distance`` moves.
+    On success ``moves`` replays blue into red in ``distance`` moves.
     A bad token set raises SolverInputError as the solvers do.
     """
     start = state_key(check_tokens("blue", blue, g))
@@ -147,12 +147,11 @@ def bfs(
     if len(start) != len(goal):
         return OracleResult("UNREACHABLE", None, None, 0)
     if start == goal:
-        return OracleResult("REACHABLE", 0, ReconfigSequence(start, ()), 1)
+        return OracleResult("REACHABLE", 0, (), 1)
     dist, queue = SlideSpace(g, cap)._search(start, goal)
     expanded = len(dist) - len(queue)
     if goal in dist:
-        seq = ReconfigSequence(start, _path(g, dist, goal))
-        return OracleResult("REACHABLE", dist[goal], seq, expanded)
+        return OracleResult("REACHABLE", dist[goal], _path(g, dist, goal), expanded)
     if queue:
         # counts the state whose expansion would have crossed the cap
         return OracleResult("CAP_EXCEEDED", None, None, expanded + 1)

@@ -24,7 +24,7 @@ from tokenslide.generate import (
     gen_instance,
     quadratic_path_instance,
 )
-from tokenslide.graphs import Graph, ReconfigSequence, validate_sequence
+from tokenslide.graphs import Graph, validate_sequence
 from tokenslide.instances import parse_sequence, serialize_sequence
 from tokenslide.oracle import bfs, slide_neighbors, state_key
 from tokenslide.proper import solve_proper
@@ -57,11 +57,12 @@ def test_solvers_agree_with_exhaustive_search():
     """Exhaustive sweep: proper n <= 9 and trivially perfect n <= 10 with
     k <= 4, and caterpillars n <= 10 with k <= 3, all ordered
     independent-set pairs.  Decisions and move counts must match
-    breadth-first search exactly."""
+    breadth-first search exactly.  Two workers share each sweep; sharding
+    leaves the report unchanged."""
     start = time.perf_counter()
     totals = {}
     for cls, n_max, k_max in (("proper", 9, 4), ("tp", 10, 4), ("caterpillar", 10, 3)):
-        report = crosscheck(cls, n_max, k_max=k_max)
+        report = crosscheck(cls, n_max, k_max=k_max, jobs=2)
         assert report.mismatches == (), report.render()
         totals[cls] = report.checked
     assert totals["proper"] > 98_000
@@ -319,10 +320,10 @@ def test_verify_grows_linearly_in_moves():
             inst = quadratic_path_instance(k)
             res = solve_proper(inst.rep, inst.blue, inst.red)
             assert res.move_count == k * (6 * k + 1)
-            text = serialize_sequence(ReconfigSequence(tuple(sorted(inst.blue)), res.moves))
+            text = serialize_sequence(res.moves)
             structure = inst.graph if by_graph else inst.rep
             runs[k] = lambda s=structure, inst=inst, text=text: validate_sequence(
-                s, inst.blue, inst.red, parse_sequence(text, inst.blue)
+                s, inst.blue, inst.red, parse_sequence(text)
             )
         best_ratio = float("inf")
         for _ in range(9):

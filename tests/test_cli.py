@@ -1,9 +1,14 @@
 """Command-line front end."""
 
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tokenslide
 from tokenslide.cli import main
 from tokenslide.instances import MAX_N
 from tokenslide.graphs import Graph
@@ -287,6 +292,59 @@ class TestUnreadableInput:
         code, out, err = run(capsys, "verify", "--in", inst, "--seq", str(missing))
         assert (code, out) == (2, "")
         assert err.startswith(f"ERROR PARSE: cannot read {missing}: ")
+
+
+# one malformed instance file per parse_instance error the other tests
+# leave out, plus parse_representation's duplicate RIGHT endpoint: the
+# file, then the exact message every reading command prints
+MALFORMED = {
+    "empty": ("# nothing but a comment\n\n", "empty instance file"),
+    "duplicate-n": ("n 2\nn 2\nedges 1\n1 2\nblue 1\nred 2\n", "duplicate n line"),
+    "rep-before-n": ("rep L1 R1\nn 1\nblue 1\nred 1\n", "rep line before n line"),
+    "edges-before-n": ("edges 0\nn 1\nblue 1\nred 1\n", "edges line before n line"),
+    "blue-before-n": ("blue 1\nn 1\nedges 0\nred 1\n", "blue line before n line"),
+    "red-before-n": ("red 1\nn 1\nedges 0\nblue 1\n", "red line before n line"),
+    "rep-after-edges": ("n 1\nedges 0\nrep L1 R1\nblue 1\nred 1\n", "multiple rep/edges sections"),
+    "edges-after-rep": ("n 1\nrep L1 R1\nedges 0\nblue 1\nred 1\n", "multiple rep/edges sections"),
+    "bad-edge": ("n 3\nedges 1\n1 2 3\nblue 1\nred 1\n", "bad edge line: '1 2 3'"),
+    "duplicate-red": ("n 2\nedges 0\nblue 1\nred 1\nred 2\n", "duplicate red line"),
+    "no-structure": ("n 2\nblue 1\nred 2\n", "missing rep or edges section"),
+    "duplicate-right": (
+        "n 2\nrep L1 R1 L2 R2 R1\nblue 1\nred 2\n",
+        "rep line, token 5: duplicate RIGHT endpoint for vertex 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "oracle"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_instance_file_is_a_parse_error(case, command, tmp_path, capsys):
+    text, message = MALFORMED[case]
+    inst = write(tmp_path, "inst.txt", text)
+    seq = write(tmp_path, "seq.txt", "MOVES 0\n")
+    extra = ("--seq", seq) if command == "verify" else ()
+    assert run(capsys, command, "--in", inst, *extra) == (2, "", f"ERROR PARSE: {message}\n")
+
+
+# the caterpillar scheduler runs out of room on this instance (the oracle
+# finds 16 moves)
+NO_ROOM = (
+    "n 10\nedges 9\n1 2\n1 7\n2 3\n2 8\n3 4\n4 5\n5 6\n5 9\n6 10\n"
+    "blue 1 4 8 9\nred 3 5 8 10\n"
+)
+
+
+def test_scheduler_loop_guards_survive_python_O(tmp_path):
+    """``python -O`` strips ``assert``; the scheduler's loop guards raise
+    explicitly, so the run ends with the same error instead of looping."""
+    path = write(tmp_path, "inst.txt", NO_ROOM)
+    env = {**os.environ, "PYTHONPATH": str(Path(tokenslide.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "tokenslide.cli", "solve", "--in", path],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == 1
+    assert "no room to make way" in proc.stderr
 
 
 class TestOracle:

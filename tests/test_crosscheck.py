@@ -11,7 +11,7 @@ from tokenslide.generate import (
 )
 from tokenslide.graphs import Graph, find_strong_twins
 from tokenslide.instances import parse_instance
-from tokenslide.results import no_result, yes_result
+from tokenslide.results import SolverInputError, no_result, yes_result
 
 
 def _expected_pairs(graphs, k_max=3):
@@ -160,6 +160,18 @@ class TestHarnessSelfTest:
         inst = parse_instance(crash.instance.replace(";", "\n"))
         n, edges, blue, red = calls[39]
         assert (inst.n, inst.edge_list, inst.blue, inst.red) == (n, edges, blue, red)
+
+    def test_rejected_instance_becomes_one_mismatch_line(self):
+        def rejects(g, blue, red):
+            raise SolverInputError("NOT_CATERPILLAR", "not a caterpillar")
+
+        report = crosscheck("caterpillar", 3, solver=rejects)
+        assert report.checked == len(report.mismatches) == 10
+        assert report.mismatches[5].line() == (
+            "MISMATCH n 3;edges 2;1 2;1 3;blue 2;red 3 solver=ERROR:NOT_CATERPILLAR"
+            " oracle=2 note=solver rejected the instance"
+        )
+        assert {m.solver for m in report.mismatches} == {"ERROR:NOT_CATERPILLAR"}
 
     def test_prepare_crash_marks_every_pair_of_the_graph(self, monkeypatch):
         cc = importlib.import_module("tokenslide.crosscheck")

@@ -13,7 +13,6 @@ from tokenslide.generate import (
 )
 from tokenslide.graphs import (
     Graph,
-    ReconfigSequence,
     ValidationResult,
     find_strong_twins,
     validate_sequence,
@@ -153,13 +152,13 @@ def test_sibling_leaves_are_not_strong_twins():
 
 def test_validate_single_token_walk():
     g = path_graph(3)
-    seq = ReconfigSequence((1,), ((1, 2), (2, 3)))
+    seq = ((1, 2), (2, 3))
     assert validate_sequence(g, [1], [3], seq).ok
 
 
 def test_validate_rejects_non_edge():
     g = path_graph(3)
-    seq = ReconfigSequence((1,), ((1, 3),))
+    seq = ((1, 3),)
     res = validate_sequence(g, [1], [3], seq)
     assert not res.ok
     assert res.step == 1
@@ -168,20 +167,18 @@ def test_validate_rejects_non_edge():
 
 def test_validate_order_sensitivity_on_p4():
     g = path_graph(4)
-    good = ReconfigSequence((1, 3), ((3, 4), (1, 2)))
+    good = ((3, 4), (1, 2))
     assert validate_sequence(g, [1, 3], [2, 4], good).ok
-    bad = ReconfigSequence((1, 3), ((1, 2), (3, 4)))
+    bad = ((1, 2), (3, 4))
     res = validate_sequence(g, [1, 3], [2, 4], bad)
     assert not res.ok
     assert res.step == 1
     assert res.reason == "NOT_INDEPENDENT"
 
 
-def test_validate_wrong_initial_and_final():
+def test_validate_wrong_final_set():
     g = path_graph(3)
-    res = validate_sequence(g, [1], [3], ReconfigSequence((2,), ()))
-    assert res.reason == "WRONG_INITIAL_SET"
-    res = validate_sequence(g, [1], [3], ReconfigSequence((1,), ()))
+    res = validate_sequence(g, [1], [3], ())
     assert res.reason == "WRONG_FINAL_SET"
     # the last step is flagged, also for moves read once from an iterator
     res = validate_sequence(g, [1], [3], iter([(1, 2)]))
@@ -190,9 +187,9 @@ def test_validate_wrong_initial_and_final():
 
 def test_validate_source_and_target_occupancy():
     g = path_graph(4)
-    res = validate_sequence(g, [1, 3], [1, 3], ReconfigSequence((1, 3), ((2, 3),)))
+    res = validate_sequence(g, [1, 3], [1, 3], ((2, 3),))
     assert res.reason == "SOURCE_NOT_OCCUPIED"
-    res = validate_sequence(g, [1, 4], [1, 4], ReconfigSequence((1, 4), ((4, 4),)))
+    res = validate_sequence(g, [1, 4], [1, 4], ((4, 4),))
     assert res.reason in ("TARGET_OCCUPIED", "NOT_AN_EDGE")
 
 
@@ -238,10 +235,9 @@ def differential_cases(g, rng):
             if len(blue) < k and all(w not in blue for w in g.adj[v]):
                 blue.add(v)
         moves, final = random_slides(g, blue, rng.randint(0, 8), rng)
-        yield blue, final, ReconfigSequence(tuple(sorted(blue)), tuple(moves))
+        yield blue, final, tuple(moves)
         yield blue, final, moves
         yield blue, set(rng.sample(range(1, n + 1), len(blue))), moves
-        yield blue, final, ReconfigSequence(tuple(sorted(blue))[1:], tuple(moves))
         for target in (0, -1, n + 1):
             at = rng.randint(0, len(moves))
             src = moves[at - 1][1] if at else rng.choice(sorted(blue))
@@ -277,7 +273,6 @@ def test_representation_and_graph_verdicts_agree():
     assert cases > 10_000
     assert reasons >= {
         (None, False),
-        ("WRONG_INITIAL_SET", True),
         ("NOT_INDEPENDENT", True),
         ("NOT_INDEPENDENT", False),
         ("SOURCE_NOT_OCCUPIED", False),

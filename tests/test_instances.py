@@ -2,7 +2,6 @@
 
 import pytest
 
-from tokenslide.graphs import ReconfigSequence
 from tokenslide.instances import (
     MAX_N,
     InstanceFormatError,
@@ -91,35 +90,35 @@ def test_missing_edge_lines_rejected():
 
 
 def test_sequence_round_trip():
-    seq = parse_sequence("MOVES 2\n1 2\n2 3\n", (1,))
-    assert seq.moves == ((1, 2), (2, 3))
-    assert serialize_sequence(seq) == "MOVES 2\n1 2\n2 3\n"
+    moves = parse_sequence("MOVES 2\n1 2\n2 3\n")
+    assert moves == ((1, 2), (2, 3))
+    assert serialize_sequence(moves) == "MOVES 2\n1 2\n2 3\n"
 
 
 @pytest.mark.parametrize("moves", [((1, 2, 3), (4,)), ((1,),), ((1, 2), (3, 4, 5)), ((),)])
 def test_serialize_sequence_refuses_a_move_that_is_not_a_pair(moves):
     # ((1, 2, 3), (4,)) flattens to two well-formed pairs; it must not be written
     with pytest.raises(ValueError, match="pair"):
-        serialize_sequence(ReconfigSequence((1,), moves))
+        serialize_sequence(moves)
 
 
 def test_serialize_sequence_writes_non_int_vertices_as_given():
     """A float or bool is written as ``str`` shows it, not truncated to
     another vertex, so reading the file back fails instead of differing."""
-    text = serialize_sequence(ReconfigSequence((1,), ((2.7, 3), (True, 4))))
+    text = serialize_sequence(((2.7, 3), (True, 4)))
     assert text == "MOVES 2\n2.7 3\nTrue 4\n"
     with pytest.raises(InstanceFormatError, match="bad move line"):
-        parse_sequence(text, (2,))
+        parse_sequence(text)
 
 
 def test_sequence_count_mismatch_rejected():
     with pytest.raises(InstanceFormatError):
-        parse_sequence("MOVES 3\n1 2\n", (1,))
+        parse_sequence("MOVES 3\n1 2\n")
 
 
 def test_sequence_bad_header_rejected():
     with pytest.raises(InstanceFormatError):
-        parse_sequence("2\n1 2\n2 3\n", (1,))
+        parse_sequence("2\n1 2\n2 3\n")
 
 
 # Numerals int() takes but the formats refuse: a superscript (int() raises
@@ -148,11 +147,10 @@ NUMERIC_FIELDS = {
 def test_numeric_field_takes_ascii_digits_only(field):
     template, good, message = NUMERIC_FIELDS[field]
     parse = parse_sequence if field in ("MOVES", "move") else parse_instance
-    args = ((2,),) if parse is parse_sequence else ()
-    parse(template.format(good), *args)
+    parse(template.format(good))
     for bad in BAD_NUMERALS:
         with pytest.raises(InstanceFormatError) as err:
-            parse(template.format(bad), *args)
+            parse(template.format(bad))
         assert str(err.value) == message.format(bad), bad
 
 

@@ -44,14 +44,14 @@ def test_bfs_identity():
     res = bfs(path_graph(3), [2], [2])
     assert res.reachable
     assert res.distance == 0
-    assert res.sequence.moves == ()
+    assert res.moves == ()
 
 
 def test_bfs_p8_distance_7():
     g = path_graph(8)
     res = bfs(g, [1], [8])
     assert res.distance == 7
-    assert validate_sequence(g, [1], [8], res.sequence).ok
+    assert validate_sequence(g, [1], [8], res.moves).ok
 
 
 def test_bfs_unreachable_star():
@@ -65,7 +65,7 @@ def test_bfs_p4_swap_pair():
     g = path_graph(4)
     res = bfs(g, [1, 3], [2, 4])
     assert res.distance == 2
-    assert validate_sequence(g, [1, 3], [2, 4], res.sequence).ok
+    assert validate_sequence(g, [1, 3], [2, 4], res.moves).ok
 
 
 def test_bfs_cardinality_mismatch_unreachable():

@@ -7,14 +7,13 @@ import pytest
 
 from tokenslide.caterpillar import solve_caterpillar
 from tokenslide.generate import gen_instance
-from tokenslide.graphs import ReconfigSequence
 from tokenslide.instances import InstanceFormatError, parse_sequence, serialize_sequence
 from tokenslide.oracle import bfs
 from tokenslide.proper import solve_proper
 from tokenslide.trivially_perfect import solve_tp
 
 
-def reference_parse_sequence(text, initial):
+def reference_parse_sequence(text):
     """The per-line parser that ``parse_sequence`` replaced, kept as the
     reference; it reads fields with ``int``, so it also takes signs,
     underscores and other scripts' digits, which the format refuses."""
@@ -41,12 +40,12 @@ def reference_parse_sequence(text, initial):
         if len(parts) != 2:
             raise InstanceFormatError(f"bad move line: {line!r}")
         moves.append((src, dst))
-    return ReconfigSequence(tuple(sorted(initial)), tuple(moves))
+    return tuple(moves)
 
 
-def outcome(parse, text, initial=(1, 5)):
+def outcome(parse, text):
     try:
-        return parse(text, initial)
+        return parse(text)
     except InstanceFormatError as err:
         return f"InstanceFormatError: {err}"
 
@@ -115,7 +114,7 @@ def test_parser_matches_reference_on_seeded_mutations():
         text = join(lines, rng)
         expected = outcome(reference_parse_sequence, text)
         assert outcome(parse_sequence, text) == expected, (case, text)
-        if isinstance(expected, ReconfigSequence):
+        if isinstance(expected, tuple):
             seen.add(("ok", text.isascii(), "\r" in text, "#" in text))
         else:
             seen.add(expected.split()[1])
@@ -141,7 +140,7 @@ def test_parser_refuses_only_numerals_int_takes_beyond_ascii_digits():
         lines[i] = " ".join(fields)
         text = join(lines, rng)
         expected = outcome(reference_parse_sequence, text)
-        if isinstance(expected, ReconfigSequence):
+        if isinstance(expected, tuple):
             expected = f"InstanceFormatError: bad move line: {lines[i]!r}"
         assert outcome(parse_sequence, text) == expected, text
 
@@ -151,8 +150,8 @@ def test_parser_matches_reference_on_the_examples():
         assert outcome(parse_sequence, text) == outcome(reference_parse_sequence, text)
 
 
-def reference_serialize_sequence(seq):
-    return f"MOVES {len(seq.moves)}\n" + "".join(f"{a} {b}\n" for a, b in seq.moves)
+def reference_serialize_sequence(moves):
+    return f"MOVES {len(moves)}\n" + "".join(f"{a} {b}\n" for a, b in moves)
 
 
 def walked_red(g, blue, rng, steps=30):
@@ -169,7 +168,7 @@ def walked_red(g, blue, rng, steps=30):
 
 
 def schedules():
-    """(label, blue, ReconfigSequence or None for a NO) from every solver
+    """(label, moves or None for a NO) from every solver
     class and the oracle, each solving towards a red that a walk of
     slides reaches."""
     rng = random.Random("sequence-round-trip")
@@ -180,23 +179,22 @@ def schedules():
             red = walked_red(inst.graph, inst.blue, rng)
             structure = inst.graph if cls == "caterpillar" else inst.rep
             res = solve(structure, inst.blue, red)
-            seq = ReconfigSequence(tuple(sorted(inst.blue)), res.moves) if res.yes else None
-            yield f"{cls}-{seed}", inst.blue, seq
+            yield f"{cls}-{seed}", res.moves if res.yes else None
     for seed in range(4):
         inst = gen_instance("caterpillar", 12, 2, seed)
         res = bfs(inst.graph, inst.blue, walked_red(inst.graph, inst.blue, rng))
-        yield f"oracle-{seed}", inst.blue, res.sequence
+        yield f"oracle-{seed}", res.moves
 
 
 SCHEDULES = list(schedules())
 
 
-@pytest.mark.parametrize("blue,seq", [case[1:] for case in SCHEDULES],
+@pytest.mark.parametrize("moves", [case[1] for case in SCHEDULES],
                          ids=[case[0] for case in SCHEDULES])
-def test_solver_schedules_round_trip(blue, seq):
-    assert seq is not None and seq.moves
-    assert all(type(move) is tuple and len(move) == 2 for move in seq.moves)
-    assert all(type(v) is int for move in seq.moves for v in move)
-    text = serialize_sequence(seq)
-    assert text == reference_serialize_sequence(seq)
-    assert parse_sequence(text, blue) == seq
+def test_solver_schedules_round_trip(moves):
+    assert moves
+    assert all(type(move) is tuple and len(move) == 2 for move in moves)
+    assert all(type(v) is int for move in moves for v in move)
+    text = serialize_sequence(moves)
+    assert text == reference_serialize_sequence(moves)
+    assert parse_sequence(text) == moves
