@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
+from operator import eq
 
 from .graphs import Graph
 from .intervals import (
@@ -80,6 +81,32 @@ def _parse_vertex_list(parts: list[str], n: int, label: str) -> tuple[int, ...]:
     return tuple(sorted(ids))
 
 
+def _parse_edges(block: list[str], n: int) -> list[tuple[int, int]]:
+    """The lines of an ``edges`` section as (u, v) pairs, checked as one
+    field list; only a block that fails is read again line by line, to
+    name its first bad line."""
+    fields = " ".join(block).split()
+    digits = "".join(fields)
+    # fields are digit runs, so a line of one field is all digits: with
+    # none such and two fields a line in all, each line has two
+    if (len(fields) == 2 * len(block) and digits.isdigit() and digits.isascii()
+            and not any(map(str.isdigit, block)) and max(map(len, fields)) <= MAX_DIGITS):
+        ends = list(map(int, fields))
+        us, vs = ends[0::2], ends[1::2]
+        if min(ends) >= 1 and max(ends) <= n and not any(map(eq, us, vs)):
+            return list(zip(us, vs))
+    edge_list = []
+    for line in block:
+        edge_parts = line.split()
+        if len(edge_parts) != 2 or not all(map(_is_number, edge_parts)):
+            raise InstanceFormatError(f"bad edge line: {line!r}")
+        u, v = map(int, edge_parts)
+        if not (1 <= u <= n and 1 <= v <= n) or u == v:
+            raise InstanceFormatError(f"bad edge ({u}, {v}) for n={n}")
+        edge_list.append((u, v))
+    return edge_list
+
+
 def parse_instance(text: str) -> Instance:
     """Read an instance file; an ``n`` above ``MAX_N`` is a format error.
     An ``edges m`` count needs no such bound: m edge lines must follow it."""
@@ -95,8 +122,10 @@ def parse_instance(text: str) -> Instance:
 
     i = 0
     while i < len(lines):
-        parts = lines[i].split()
-        key = parts[0]
+        line = lines[i]
+        key = line.split(maxsplit=1)[0]
+        # the rep line goes to its parser whole, unsplit here
+        parts = line.split() if key != "rep" else []
         if key == "n":
             if n is not None:
                 raise InstanceFormatError("duplicate n line")
@@ -111,7 +140,7 @@ def parse_instance(text: str) -> Instance:
             if rep is not None or edge_list is not None:
                 raise InstanceFormatError("multiple rep/edges sections")
             try:
-                rep = parse_representation(" ".join(parts[1:]))
+                rep = parse_representation(line[len(key):])
             except RepresentationError as err:
                 raise InstanceFormatError(f"rep line, {err}") from None
             if rep.n != n:
@@ -126,15 +155,7 @@ def parse_instance(text: str) -> Instance:
             m = int(parts[1])
             if m > len(lines) - i - 1:
                 raise InstanceFormatError(f"expected {m} edge lines")
-            edge_list = []
-            for line in lines[i + 1 : i + m + 1]:
-                edge_parts = line.split()
-                if len(edge_parts) != 2 or not all(map(_is_number, edge_parts)):
-                    raise InstanceFormatError(f"bad edge line: {line!r}")
-                u, v = map(int, edge_parts)
-                if not (1 <= u <= n and 1 <= v <= n) or u == v:
-                    raise InstanceFormatError(f"bad edge ({u}, {v}) for n={n}")
-                edge_list.append((u, v))
+            edge_list = _parse_edges(lines[i + 1 : i + m + 1], n)
             i += m
         elif key == "blue":
             if n is None:
@@ -149,7 +170,7 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceFormatError("duplicate red line")
             red = _parse_vertex_list(parts[1:], n, "red")
         else:
-            raise InstanceFormatError(f"unknown line: {lines[i]!r}")
+            raise InstanceFormatError(f"unknown line: {line!r}")
         i += 1
 
     # every other line needs n before it, so a file that got here has one

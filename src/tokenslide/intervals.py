@@ -9,9 +9,12 @@ intersect iff neither ends before the other begins.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import count
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 
@@ -40,21 +43,19 @@ class IntervalRepresentation:
         return len(self.events) // 2
 
     @cached_property
-    def _ranks(self) -> dict[str, list[int]]:
+    def _ranks(self) -> tuple[list[int], list[int]]:
         """1-based rank of each vertex's "L" and "R" endpoint, indexed by
-        vertex id; one pass builds both."""
-        ranks = {"L": [0] * (self.n + 1), "R": [0] * (self.n + 1)}
-        for rank, (side, vid) in enumerate(self.events, start=1):
-            ranks[side][vid] = rank
-        return ranks
+        vertex id.  ``parse_representation`` leaves them here; a
+        representation built in code gets them from the same check."""
+        return _endpoint_ranks("".join(map(_side, self.events)), list(map(_vid, self.events)))
 
     @property
     def left_rank(self) -> list[int]:
-        return self._ranks["L"]
+        return self._ranks[0]
 
     @property
     def right_rank(self) -> list[int]:
-        return self._ranks["R"]
+        return self._ranks[1]
 
     def left_order(self) -> list[int]:
         """Vertex ids sorted by left endpoint rank."""
@@ -121,35 +122,72 @@ def _is_number(field: str) -> bool:
     return len(field) <= MAX_DIGITS and field.isdigit() and field.isascii()
 
 
-def parse_representation(text: str) -> IntervalRepresentation:
-    """Parse an endpoint string, reporting the offending token position on error."""
-    tokens = text.split()
-    events: list[tuple[str, int]] = []
-    for pos, tok in enumerate(tokens, start=1):
-        side, digits = tok[:1], tok[1:]
-        if side not in ("L", "R") or not _is_number(digits) or int(digits) < 1:
-            raise RepresentationError(f"malformed endpoint token {tok!r}", pos)
-        events.append((side, int(digits)))
+_side, _vid = itemgetter(0), itemgetter(1)
+_numeral = itemgetter(slice(1, None))
 
-    seen_left: dict[int, int] = {}
-    seen_right: dict[int, int] = {}
-    for pos, (side, vid) in enumerate(events, start=1):
+
+def _endpoint_ranks(sides: str, ids: list[int]) -> tuple[list[int], list[int]]:
+    """Check that the endpoints ``sides[i] + str(ids[i])``, ids positive,
+    pair up: one L and then one R for each vertex, and ids covering 1..n.
+    Returns the 1-based rank of each vertex's L and R endpoint, indexed by
+    vertex id, or raises at the first token that breaks the pairing."""
+    half = len(ids) // 2
+    # only an id up to half can be valid, so only then does it index a
+    # list; any larger one is an error, named with maps of the ids seen
+    top = max(ids, default=0)
+    if top <= half:
+        left, right = [0] * (half + 1), [0] * (half + 1)
+    else:
+        left, right = defaultdict(int), defaultdict(int)
+    for rank, side, vid in zip(count(1), sides, ids):
         if side == "L":
-            if vid in seen_left:
-                raise RepresentationError(f"duplicate LEFT endpoint for vertex {vid}", pos)
-            seen_left[vid] = pos
+            if left[vid]:
+                raise RepresentationError(f"duplicate LEFT endpoint for vertex {vid}", rank)
+            left[vid] = rank
         else:
-            if vid in seen_right:
-                raise RepresentationError(f"duplicate RIGHT endpoint for vertex {vid}", pos)
-            if vid not in seen_left:
-                raise RepresentationError(f"RIGHT endpoint before LEFT for vertex {vid}", pos)
-            seen_right[vid] = pos
-    for vid, pos in seen_left.items():
-        if vid not in seen_right:
-            raise RepresentationError(f"missing RIGHT endpoint for vertex {vid}", pos)
+            if right[vid]:
+                raise RepresentationError(f"duplicate RIGHT endpoint for vertex {vid}", rank)
+            if not left[vid]:
+                raise RepresentationError(f"RIGHT endpoint before LEFT for vertex {vid}", rank)
+            right[vid] = rank
+    # every R closed an open L, so an L is left open iff there are more Ls
+    if 2 * sides.count("R") != len(ids):
+        rank, vid = next((rank, vid) for rank, side, vid in zip(count(1), sides, ids)
+                         if side == "L" and not right[vid])
+        raise RepresentationError(f"missing RIGHT endpoint for vertex {vid}", rank)
+    if top > half:
+        # half vertices, each with its L first: the first token past half is an L
+        rank, vid = next((rank, vid) for rank, vid in enumerate(ids, start=1) if vid > half)
+        raise RepresentationError(f"vertex ids must cover 1..{half}, found {vid}", rank)
+    return left, right
 
-    n = len(seen_left)
-    if any(vid > n for vid in seen_left):
-        pos, bad = min((seen_left[vid], vid) for vid in seen_left if vid > n)
-        raise RepresentationError(f"vertex ids must cover 1..{n}, found {bad}", pos)
-    return IntervalRepresentation(tuple(events))
+
+def parse_representation(text: str) -> IntervalRepresentation:
+    """Parse an endpoint string, reporting the offending token position on error.
+
+    One pass checks the line whole: its side letters as one string, its
+    numerals joined as one run of ASCII digits, read with one ``map(int)``.
+    Only a line that fails is read again token by token, to name its
+    first malformed token.  The pairing check then builds the rank lists,
+    and the representation keeps them as its ``left_rank`` and
+    ``right_rank``.
+    """
+    tokens = text.split()
+    sides = "".join(map(_side, tokens))
+    numerals = list(map(_numeral, tokens))
+    digits = "".join(numerals)
+    ids = (list(map(int, numerals))
+           if not sides.strip("LR") and digits.isdigit() and digits.isascii()
+           and "" not in numerals and max(map(len, numerals)) <= MAX_DIGITS
+           else None)
+    if ids is None or min(ids) < 1:
+        # an empty line has no bad token, and no ids
+        for pos, tok in enumerate(tokens, start=1):
+            side, num = tok[:1], tok[1:]
+            if side not in ("L", "R") or not _is_number(num) or int(num) < 1:
+                raise RepresentationError(f"malformed endpoint token {tok!r}", pos)
+        ids = []
+    ranks = _endpoint_ranks(sides, ids)
+    rep = IntervalRepresentation(tuple(zip(sides, ids)))
+    rep.__dict__["_ranks"] = ranks  # what the cached property would build
+    return rep
