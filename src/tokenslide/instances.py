@@ -206,6 +206,8 @@ def parse_sequence(text: str) -> tuple[tuple[int, int], ...]:
     count = int(head[1])
     if len(lines) - 1 != count:
         raise InstanceFormatError(f"expected {count} move lines, found {len(lines) - 1}")
+    # line by line, unlike an edges block: a list of every field, or a
+    # repeated-group regex over the body, would raise verify's peak memory
     moves = []
     for line in islice(lines, 1, None):
         try:
