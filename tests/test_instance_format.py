@@ -292,8 +292,8 @@ def test_instance_matches_reference_on_seeded_mutations():
             seen.add("rep" if expected[0].rep is not None else "edges")
         else:
             seen.add(expected.split(": ", 1)[1])
-    for start in ("rep", "edges", "bad edge line: ", "bad edge (", "expected ",
-                  "rep line, token ", "rep has "):
+    assert {"rep", "edges"} <= seen  # accepted files of both kinds
+    for start in ("bad edge line: ", "bad edge (", "expected ", "rep line, token ", "rep has "):
         assert any(message.startswith(start) for message in seen), start
 
 
