@@ -145,6 +145,104 @@ def test_parser_refuses_only_numerals_int_takes_beyond_ascii_digits():
         assert outcome(parse_sequence, text) == expected, text
 
 
+# numerals ``int`` reads that the format refuses, and one digit too many
+REFUSED_NUMERALS = ("+3", "١", "３", "7" * 4301)
+LONG_NUMERAL = "7" * 4300  # the longest numeral the format takes
+LINE_BREAKS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029")  # every boundary str.splitlines knows
+WIDE_BLANKS = ("", " ", "\t", "\xa0", "\u3000", " \xa0\u3000 ")
+
+
+def repeated_body(rng):
+    """Move lines drawn from a small pool, one of them copied to a later
+    place; returns the lines and the index of that later copy."""
+    pool = [f"{rng.randint(0, 30)} {rng.randint(0, 30)}" for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.2:
+        pool[0] = f"{LONG_NUMERAL} {rng.randint(0, 30)}"
+    body = [rng.choice(pool) for _ in range(rng.randint(1, 10))]
+    first = rng.randrange(len(body))
+    later = rng.randint(first + 1, len(body))
+    body.insert(later, body[first])
+    return body, first, later
+
+
+def change_copy(body, first, later, rng, comments=True):
+    """Change the later copy of a repeated line in one seeded way; returns
+    the kind of change."""
+    fields = body[later].split()
+    kinds = ["extra", "missing", "non-digit", "refused", "spacing", "same"]
+    kinds += ["comment"] if comments else []
+    kind = rng.choice(kinds)
+    if kind == "extra":
+        body[later] += " " + rng.choice(("3", "x", "0", fields[0]))
+    elif kind == "missing":
+        body[later] = fields[rng.randrange(2)]
+    elif kind == "non-digit":
+        fields[rng.randrange(2)] = rng.choice(NON_DIGITS)
+        body[later] = " ".join(fields)
+    elif kind == "refused":
+        at = 0 if fields[0] == LONG_NUMERAL else rng.randrange(2)
+        fields[at] = rng.choice(REFUSED_NUMERALS)
+        body[later] = " ".join(fields)
+    elif kind == "spacing":
+        body[later] = rng.choice(("  ".join(fields), "\t" + " ".join(fields),
+                                  rng.choice(SEPARATORS).join(fields)))
+    elif kind == "comment":  # on either copy, so one copy has a note
+        body[rng.choice((first, later))] += rng.choice(COMMENTS)
+    return kind
+
+
+def expected_outcome(text, changed):
+    """The reference's outcome, except that a file it takes with a numeral
+    the format refuses fails on the changed line, the only one that can
+    hold one."""
+    expected = outcome(reference_parse_sequence, text)
+    line = changed.split("#", 1)[0].strip()
+    refused = any(not (f.isdigit() and f.isascii() and len(f) <= 4300) for f in line.split())
+    if isinstance(expected, tuple) and refused:
+        return f"InstanceFormatError: bad move line: {line!r}"
+    return expected
+
+
+def test_parser_matches_reference_on_changed_repeats():
+    """Files in which a valid move line repeats and its later copy is
+    changed: the parser must not take the change for the earlier copy."""
+    rng = random.Random("sequence-repeats")
+    seen = set()
+    for case in range(5000):
+        body, first, later = repeated_body(rng)
+        kind = change_copy(body, first, later, rng)
+        text = join([f"MOVES {len(body)}"] + body, rng)
+        expected = expected_outcome(text, body[later])
+        assert outcome(parse_sequence, text) == expected, (case, text)
+        seen.add((kind, isinstance(expected, tuple), "\r\n" in text))
+    kinds = {kind for kind, _, _ in seen}
+    assert {"extra", "missing", "non-digit", "refused", "spacing", "comment", "same"} <= kinds
+    assert {(ok, crlf) for _, ok, crlf in seen} == {(False, False), (False, True),
+                                                     (True, False), (True, True)}
+
+
+def test_parser_matches_reference_without_comments():
+    """Files with no ``#``, their lines broken at every boundary
+    str.splitlines knows and padded with wide blanks, repeats included."""
+    rng = random.Random("sequence-no-comments")
+    seen = set()
+    for case in range(2000):
+        body, first, later = repeated_body(rng)
+        change_copy(body, first, later, rng, comments=False)
+        lines = [f"MOVES {len(body)}"] + body
+        for _ in range(rng.randint(0, 2)):
+            lines.insert(rng.randint(0, len(lines)), rng.choice(WIDE_BLANKS))
+        text = "".join(rng.choice(WIDE_BLANKS) + line + rng.choice(WIDE_BLANKS)
+                       + rng.choice(LINE_BREAKS) for line in lines)
+        assert "#" not in text
+        expected = expected_outcome(text, body[later])
+        assert outcome(parse_sequence, text) == expected, (case, text)
+        seen.update(brk for brk in LINE_BREAKS if brk in text)
+        seen.add(isinstance(expected, tuple))
+    assert set(LINE_BREAKS) | {True, False} <= seen
+
+
 def test_parser_matches_reference_on_the_examples():
     for text in ("", "\n\n", "# only\n", "MOVES 0", "MOVES 0\n", "MOVES 2\n1 2\n2 3\n"):
         assert outcome(parse_sequence, text) == outcome(reference_parse_sequence, text)
