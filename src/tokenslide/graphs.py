@@ -63,9 +63,8 @@ class Graph:
                 if vs.isdisjoint(near):
                     continue
                 w = next(w for w in near if w in vs)
-            else:  # bisect each vertex into the sorted adjacency
-                last = len(near) - 1
-                w = min((w for w in vs if near[bisect_left(near, w, 0, last)] == w), default=0)
+            else:
+                w = _bisect_any(near, vs)
                 if not w:
                     continue
             return (v, w) if v < w else (w, v)
@@ -87,6 +86,13 @@ class Graph:
 
     def distance(self, u: int, v: int) -> int:
         return self.bfs_distances(u)[v]
+
+
+def _bisect_any(near: tuple[int, ...], vs: set[int]) -> int:
+    """The smallest vertex of ``vs`` in the sorted, nonempty adjacency
+    ``near``, or 0 for none, by bisecting each vertex into it."""
+    last = len(near) - 1
+    return min((w for w in vs if near[bisect_left(near, w, 0, last)] == w), default=0)
 
 
 def _components(adj, cells: Iterable[int]) -> list[list[int]]:
@@ -131,7 +137,7 @@ class ValidationResult:
 
 
 class _AdjacencyTokens:
-    """Occupied vertices of a Graph; edges come from its adjacency lists."""
+    """Occupied vertices of a Graph; edges come from its sorted adjacency."""
 
     __slots__ = ("adj", "occupied")
 
@@ -139,17 +145,29 @@ class _AdjacencyTokens:
         self.adj = g.adj
         self.occupied = set(tokens)
 
-    def step(self, src: int, dst: int) -> str | None:
-        """Slide the token on src to dst, or name the rule the slide breaks."""
-        adj = self.adj
-        if dst not in adj[src]:
-            return "NOT_AN_EDGE"
-        occupied = self.occupied
-        occupied.discard(src)
-        if not occupied.isdisjoint(adj[dst]):
-            return "NOT_INDEPENDENT"
-        occupied.add(dst)
-        return None
+    def replay(self, seq) -> tuple[int, str | None]:
+        """Slide the tokens along ``seq``: the last step and None, or the
+        first step that breaks a rule and the rule.  A move costs
+        O(log degree + min(degree, k log degree)) for k tokens."""
+        adj, occupied = self.adj, self.occupied
+        limit = 8 * len(occupied)
+        step = 0
+        for step, (src, dst) in enumerate(seq, start=1):
+            if src not in occupied or dst in occupied:
+                return step, "SOURCE_NOT_OCCUPIED" if src not in occupied else "TARGET_OCCUPIED"
+            # an adjacency of at most limit vertices is read whole, as in
+            # Graph.touching; a longer one is bisected
+            near = adj[src]
+            if (dst not in near if len(near) <= limit
+                    else near[bisect_left(near, dst, 0, len(near) - 1)] != dst):
+                return step, "NOT_AN_EDGE"
+            occupied.discard(src)
+            near = adj[dst]
+            if (not occupied.isdisjoint(near) if len(near) <= limit
+                    else _bisect_any(near, occupied)):
+                return step, "NOT_INDEPENDENT"
+            occupied.add(dst)
+        return step, None
 
 
 class _RankTokens:
@@ -174,24 +192,29 @@ class _RankTokens:
         self.lefts = [lo for lo, _ in spans]
         self.rights = [hi for _, hi in spans]
 
-    def step(self, src: int, dst: int) -> str | None:
-        """Slide the token on src to dst, or name the rule the slide breaks."""
-        # src holds a token, so it is in range; dst comes straight from a
-        # move and is range-checked before it indexes the rank lists
-        left, right = self.left, self.right
-        if not (1 <= dst <= self.n and left[src] < right[dst] and left[dst] < right[src]):
-            return "NOT_AN_EDGE"
-        lefts, rights = self.lefts, self.rights
-        lo, hi = left[dst], right[dst]
-        at = bisect_left(lefts, left[src])
-        if at > 0 and rights[at - 1] > lo:
-            return "NOT_INDEPENDENT"
-        if at + 1 < len(lefts) and lefts[at + 1] < hi:
-            return "NOT_INDEPENDENT"
-        lefts[at], rights[at] = lo, hi
-        self.occupied.discard(src)
-        self.occupied.add(dst)
-        return None
+    def replay(self, seq) -> tuple[int, str | None]:
+        """Slide the tokens along ``seq``: the last step and None, or the
+        first step that breaks a rule and the rule.  A move costs one
+        bisect."""
+        n, left, right = self.n, self.left, self.right
+        occupied, lefts, rights = self.occupied, self.lefts, self.rights
+        last = len(lefts) - 1
+        step = 0
+        for step, (src, dst) in enumerate(seq, start=1):
+            if src not in occupied or dst in occupied:
+                return step, "SOURCE_NOT_OCCUPIED" if src not in occupied else "TARGET_OCCUPIED"
+            # src holds a token, so it is in range; dst comes straight
+            # from a move and is range-checked before it indexes the ranks
+            if not (1 <= dst <= n and left[src] < right[dst] and left[dst] < right[src]):
+                return step, "NOT_AN_EDGE"
+            lo, hi = left[dst], right[dst]
+            at = bisect_left(lefts, left[src])
+            if at > 0 and rights[at - 1] > lo or at < last and lefts[at + 1] < hi:
+                return step, "NOT_INDEPENDENT"
+            lefts[at], rights[at] = lo, hi
+            occupied.discard(src)
+            occupied.add(dst)
+        return step, None
 
 
 def validate_sequence(
@@ -214,8 +237,8 @@ def validate_sequence(
     ``g`` is a Graph or an IntervalRepresentation.  A representation is
     checked without building any edge: O(n + k log k) set-up for k
     tokens, then one bisect per move, since two intervals meet iff their
-    rank ranges overlap.  Both inputs give the same verdicts, with one
-    ``step`` call per move.
+    rank ranges overlap.  Both inputs give the same verdicts, each
+    replayed in one loop.
     """
     blue, red = tuple(blue), tuple(red)
     blue_set, red_set = set(blue), set(red)
@@ -230,16 +253,9 @@ def validate_sequence(
         tokens = _RankTokens(g, blue_set)
     else:
         tokens = _AdjacencyTokens(g, blue_set)
-    current, advance = tokens.occupied, tokens.step
-    step = 0
-    for step, (src, dst) in enumerate(seq, start=1):
-        if src not in current:
-            return ValidationResult(False, step, "SOURCE_NOT_OCCUPIED")
-        if dst in current:
-            return ValidationResult(False, step, "TARGET_OCCUPIED")
-        broken = advance(src, dst)
-        if broken is not None:
-            return ValidationResult(False, step, broken)
-    if current != red_set:
+    step, broken = tokens.replay(seq)
+    if broken is not None:
+        return ValidationResult(False, step, broken)
+    if tokens.occupied != red_set:
         return ValidationResult(False, step, "WRONG_FINAL_SET")
     return ValidationResult(True)

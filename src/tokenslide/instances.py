@@ -66,6 +66,8 @@ class Instance:
 
 def _meaningful_lines(text: str) -> list[str]:
     """The text's lines without comments and surrounding blanks, empty ones dropped."""
+    if "#" not in text:
+        return list(filter(None, map(str.strip, text.splitlines())))
     return [line for raw in text.splitlines() if (line := raw.partition("#")[0].strip())]
 
 
@@ -195,8 +197,8 @@ def serialize_instance(inst: Instance) -> str:
 
 
 def parse_sequence(text: str) -> tuple[tuple[int, int], ...]:
-    """Read a sequence file into (src, dst) int pairs, holding one object
-    per move beyond the text's own lines."""
+    """Read a sequence file into (src, dst) int pairs; repeated move lines
+    share one pair."""
     lines = _meaningful_lines(text)
     if not lines:
         raise InstanceFormatError("empty sequence file")
@@ -206,10 +208,14 @@ def parse_sequence(text: str) -> tuple[tuple[int, int], ...]:
     count = int(head[1])
     if len(lines) - 1 != count:
         raise InstanceFormatError(f"expected {count} move lines, found {len(lines) - 1}")
-    # line by line, unlike an edges block: a list of every field, or a
-    # repeated-group regex over the body, would raise verify's peak memory
-    moves = []
-    for line in islice(lines, 1, None):
+    # a schedule slides along the graph's edges again and again, so most
+    # of its lines repeat: each distinct line is checked and converted
+    # once, in the order of its first copy, so the first bad line is still
+    # the one named.  Line by line, unlike an edges block: a list of every
+    # field, or a repeated-group regex over the body, would raise verify's
+    # peak memory
+    pairs = dict.fromkeys(islice(lines, 1, None))
+    for line in pairs:
         try:
             src, dst = line.split()
         except ValueError:
@@ -219,8 +225,8 @@ def parse_sequence(text: str) -> tuple[tuple[int, int], ...]:
                 and (line.isascii() or src.isascii() and dst.isascii())
                 and (len(line) <= MAX_DIGITS or max(len(src), len(dst)) <= MAX_DIGITS)):
             raise InstanceFormatError(f"bad move line: {line!r}")
-        moves.append((int(src), int(dst)))
-    return tuple(moves)
+        pairs[line] = (int(src), int(dst))
+    return tuple(map(pairs.__getitem__, islice(lines, 1, None)))
 
 
 def serialize_sequence(moves: tuple[tuple[int, int], ...]) -> str:

@@ -340,6 +340,26 @@ def test_verify_grows_linearly_in_moves():
         assert best_ratio < 6.0, (by_graph, best_ratio)
 
 
+def test_verify_does_not_grow_with_degree():
+    """On the spine 1-2-3 with L leaves on vertex 2, one token bounces
+    between the last leaf and vertex 2 (2,000 moves).  Replaying that on
+    the Graph takes less than 3x the CPU time at L = 20,000 that it takes
+    at L = 2,000: a move bisects the long adjacency of vertex 2 instead of
+    reading it."""
+    runs = []
+    for leaves in (2_000, 20_000):
+        n = 3 + leaves
+        g = Graph(n, [(1, 2), (2, 3)] + [(2, v) for v in range(4, n + 1)])
+        moves = ((n, 2), (2, n)) * 1_000
+
+        def run(g=g, n=n, moves=moves):
+            assert validate_sequence(g, (n,), (n,), moves).ok
+
+        runs.append(run)
+    ratio = best_cpu_ratio(*runs)
+    assert ratio < 3.0, ratio
+
+
 def best_cpu_ratio(small, large):
     """The smallest CPU-time ratio of ``large()`` over ``small()`` in nine
     back-to-back trials, timed like test_decision_mode_runs_in_linear_time."""

@@ -1,16 +1,21 @@
 """The sequence file format against a per-line reference parser, and
 round trips of every solver's schedules through it."""
 
+import builtins
+import gc
 import random
+import tracemalloc
 
 import pytest
 
+from tokenslide import instances
 from tokenslide.caterpillar import solve_caterpillar
-from tokenslide.generate import gen_instance
+from tokenslide.generate import gen_instance, quadratic_path_instance
 from tokenslide.instances import InstanceFormatError, parse_sequence, serialize_sequence
 from tokenslide.oracle import bfs
 from tokenslide.proper import solve_proper
 from tokenslide.trivially_perfect import solve_tp
+from walks import comb
 
 
 def reference_parse_sequence(text):
@@ -246,6 +251,57 @@ def test_parser_matches_reference_without_comments():
 def test_parser_matches_reference_on_the_examples():
     for text in ("", "\n\n", "# only\n", "MOVES 0", "MOVES 0\n", "MOVES 2\n1 2\n2 3\n"):
         assert outcome(parse_sequence, text) == outcome(reference_parse_sequence, text)
+
+
+def test_parser_converts_each_distinct_line_once(monkeypatch):
+    """A 10,000-line file of 20 distinct lines costs at most two numeral
+    conversions per distinct line and one for the header, counted by
+    shadowing ``int`` in the parser's module; repeated moves share one
+    pair."""
+    calls = 0
+
+    def counting_int(*args):
+        nonlocal calls
+        calls += 1
+        return builtins.int(*args)
+
+    rng = random.Random("sequence-distinct")
+    pool = [f"{rng.randint(1, 99)} {rng.randint(100, 999)}" for _ in range(20)]
+    body = pool + [rng.choice(pool) for _ in range(10_000 - len(pool))]
+    monkeypatch.setattr(instances, "int", counting_int, raising=False)
+    moves = parse_sequence(f"MOVES {len(body)}\n" + "\n".join(body) + "\n")
+    assert calls <= 2 * len(pool) + 1, calls
+    assert moves == tuple(tuple(map(int, line.split())) for line in body)
+    assert len(set(map(id, moves))) == len(pool)
+
+
+def traced_parse(text):
+    """Memory ``parse_sequence`` holds after the call and at its peak, in
+    MB, traced by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        moves = parse_sequence(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert moves
+    return held / 1e6, peak / 1e6
+
+
+def test_parser_memory_on_repeated_and_distinct_lines():
+    """The quadratic path at k = 100 (60,100 move lines, 799 distinct)
+    peaks at no more than 6 MB and holds no more than 1 MB, where one
+    pair per line took 10.7 and 6.3 MB; a 2,000-block comb, whose 8,000
+    lines are all distinct, peaks at no more than 1.8 MB, 1.25x the
+    1.44 MB one pair per line took."""
+    inst = quadratic_path_instance(100)
+    held, peak = traced_parse(serialize_sequence(solve_proper(inst.rep, inst.blue, inst.red).moves))
+    assert peak <= 6.0 and held <= 1.0, (held, peak)
+    moves = solve_caterpillar(*comb(2_000)).moves
+    assert len(set(moves)) == len(moves) == 8_000
+    held, peak = traced_parse(serialize_sequence(moves))
+    assert peak <= 1.8, (held, peak)
 
 
 def reference_serialize_sequence(moves):
