@@ -155,10 +155,11 @@ class _AdjacencyTokens:
         for step, (src, dst) in enumerate(seq, start=1):
             if src not in occupied or dst in occupied:
                 return step, "SOURCE_NOT_OCCUPIED" if src not in occupied else "TARGET_OCCUPIED"
-            # an adjacency of at most limit vertices is read whole, as in
-            # Graph.touching; a longer one is bisected
+            # as in Graph.touching, an adjacency is read whole when it
+            # holds at most 8 vertices per vertex looked up in it, and is
+            # bisected otherwise: one lookup here, one per token below
             near = adj[src]
-            if (dst not in near if len(near) <= limit
+            if (dst not in near if len(near) <= 8
                     else near[bisect_left(near, dst, 0, len(near) - 1)] != dst):
                 return step, "NOT_AN_EDGE"
             occupied.discard(src)

@@ -266,7 +266,7 @@ def test_parser_converts_each_distinct_line_once(monkeypatch):
         return builtins.int(*args)
 
     rng = random.Random("sequence-distinct")
-    pool = [f"{rng.randint(1, 99)} {rng.randint(100, 999)}" for _ in range(20)]
+    pool = [f"{src} {rng.randint(100, 999)}" for src in range(1, 21)]
     body = pool + [rng.choice(pool) for _ in range(10_000 - len(pool))]
     monkeypatch.setattr(instances, "int", counting_int, raising=False)
     moves = parse_sequence(f"MOVES {len(body)}\n" + "\n".join(body) + "\n")
