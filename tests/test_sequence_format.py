@@ -293,8 +293,8 @@ def test_parser_memory_on_repeated_and_distinct_lines():
     """The quadratic path at k = 100 (60,100 move lines, 799 distinct)
     peaks at no more than 6 MB and holds no more than 1 MB, where one
     pair per line took 10.7 and 6.3 MB; a 2,000-block comb, whose 8,000
-    lines are all distinct, peaks at no more than 1.8 MB, 1.25x the
-    1.44 MB one pair per line took."""
+    lines are all distinct, peaks at no more than 1.8 MB, where one pair
+    per line took 1.55 MB."""
     inst = quadratic_path_instance(100)
     held, peak = traced_parse(serialize_sequence(solve_proper(inst.rep, inst.blue, inst.red).moves))
     assert peak <= 6.0 and held <= 1.0, (held, peak)
