@@ -155,14 +155,14 @@ class _AdjacencyTokens:
         for step, (src, dst) in enumerate(seq, start=1):
             if src not in occupied or dst in occupied:
                 return step, "SOURCE_NOT_OCCUPIED" if src not in occupied else "TARGET_OCCUPIED"
-            # as in Graph.touching, an adjacency is read whole when it
-            # holds at most 8 vertices per vertex looked up in it, and is
-            # bisected otherwise: one lookup here, one per token below
             near = adj[src]
-            if (dst not in near if len(near) <= 8
-                    else near[bisect_left(near, dst, 0, len(near) - 1)] != dst):
+            at = bisect_left(near, dst)
+            if at == len(near) or near[at] != dst:
                 return step, "NOT_AN_EDGE"
             occupied.discard(src)
+            # as in Graph.touching, adj[dst] is read whole when it holds at
+            # most 8 vertices per token, and each token is bisected into it
+            # otherwise
             near = adj[dst]
             if (not occupied.isdisjoint(near) if len(near) <= limit
                     else _bisect_any(near, occupied)):

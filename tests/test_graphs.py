@@ -251,18 +251,42 @@ def differential_cases(g, rng):
             yield {u, v}, {u, v}, []
 
 
+def slides_onto_hubs(g, rng):
+    """(blue, red, seq) triples that slide a token onto a vertex of degree
+    above 16 while a second token sits on a random vertex: a neighbour of
+    the hub or not, so the slide is rejected or legal."""
+    for hub in range(1, g.n + 1):
+        near = g.adj[hub]
+        if len(near) <= 16:
+            continue
+        src = rng.choice(near)
+        others = [v for v in range(1, g.n + 1)
+                  if v != hub and v != src and v not in g.adj[src]]
+        if others:
+            other = rng.choice(others)
+            yield {src, other}, {hub, other}, [(src, hub)]
+
+
 def test_representation_and_graph_verdicts_agree():
     rng = random.Random(20151101)
     reps = [rep for n in range(1, 7) for rep in enumerate_proper_representations(n)]
     reps += [rep for n in range(1, 7) for rep in enumerate_tp_representations(n)]
     reps += [random_general_representation(rng.randint(3, 9), rng) for _ in range(150)]
+    # these have vertices of degree above 8 per token, whose adjacency a
+    # Graph replay bisects
+    reps += [random_general_representation(rng.randint(40, 70), rng) for _ in range(40)]
     reasons = set()
+    long_rejections = set()
     cases = 0
     for rep in reps:
         g = Graph.from_representation(rep)
-        for blue, red, seq in differential_cases(g, rng):
+        for blue, red, seq in [*differential_cases(g, rng), *slides_onto_hubs(g, rng)]:
             expected = validate_sequence(g, blue, red, seq)
             assert validate_sequence(rep, blue, red, seq) == expected, (rep.serialize(), blue, red, seq)
+            if expected.reason in ("NOT_AN_EDGE", "NOT_INDEPENDENT") and expected.step:
+                src, dst = list(seq)[expected.step - 1]
+                if len(g.adj[src if expected.reason == "NOT_AN_EDGE" else dst]) > 8 * len(blue):
+                    long_rejections.add(expected.reason)
             for tokens in (blue, red):
                 pairs = rep.touching(tokens), g.touching(tokens)
                 assert (pairs[0] is None) == (pairs[1] is None), (rep.serialize(), tokens)
@@ -280,6 +304,34 @@ def test_representation_and_graph_verdicts_agree():
         ("NOT_AN_EDGE", False),
         ("WRONG_FINAL_SET", False),
     }
+    assert long_rejections >= {"NOT_AN_EDGE", "NOT_INDEPENDENT"}, long_rejections
+
+
+def test_long_adjacency_verdicts():
+    """Spine 1-2-3-4-5 with leaves 6..45 on vertex 2 and 46..85 on vertex
+    4: both adjacencies hold more than 8 vertices per token, so a Graph
+    replay bisects them in the edge and the independence tests."""
+    rep = parse_representation(" ".join(
+        ["L1 L2 R1"] + [f"L{v} R{v}" for v in range(6, 46)] + ["L3 R2 L4 R3"]
+        + [f"L{v} R{v}" for v in range(46, 86)] + ["L5 R4 R5"]))
+    g = Graph.from_representation(rep)
+    assert len(g.adj[2]) == len(g.adj[4]) == 42
+    cases = [
+        ({2}, {2}, [(2, 5)], ValidationResult(False, 1, "NOT_AN_EDGE")),
+        ({2}, {2}, [(2, 4)], ValidationResult(False, 1, "NOT_AN_EDGE")),
+        ({2}, {2}, [(2, 46)], ValidationResult(False, 1, "NOT_AN_EDGE")),
+        ({2}, {2}, [(2, 86)], ValidationResult(False, 1, "NOT_AN_EDGE")),
+        ({2}, {2}, [(2, 0)], ValidationResult(False, 1, "NOT_AN_EDGE")),
+        ({1, 5}, {6, 5}, [(1, 2), (2, 6)], ValidationResult(True)),
+        ({1, 85}, {45, 85}, [(1, 2), (2, 45)], ValidationResult(True)),
+        ({1, 3}, {1, 3}, [(1, 2)], ValidationResult(False, 1, "NOT_INDEPENDENT")),
+        ({1, 45}, {1, 45}, [(1, 2)], ValidationResult(False, 1, "NOT_INDEPENDENT")),
+        ({6, 5, 85}, {6, 5, 85}, [(6, 2), (5, 4)], ValidationResult(False, 2, "NOT_INDEPENDENT")),
+        ({6, 46, 85}, {6, 46, 85}, [(46, 4)], ValidationResult(False, 1, "NOT_INDEPENDENT")),
+    ]
+    for blue, red, seq, expected in cases:
+        for structure in (g, rep):
+            assert validate_sequence(structure, blue, red, seq) == expected, (structure, blue, seq)
 
 
 @pytest.mark.parametrize("target", [0, -1, 9])
