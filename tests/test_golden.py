@@ -25,13 +25,16 @@ schedule on small nestings and of full and decide-mode tp answers at
 size, were recorded before the tp solver came to work straight from the
 endpoint string.  The prepared digest, of every ``prepare_*`` value on
 small and sized structures, was recorded before each class came to be
-prepared in one pass over its structure.  A change that is meant to
-alter generated instances, schedules or witnesses must re-record them
-and say why.
+prepared in one pass over its structure.  The enumeration digest, of
+every exhaustive enumeration up to ten vertices, was recorded before the
+enumerators became plain module-level generators.  A change that is
+meant to alter generated instances, schedules or witnesses must
+re-record them and say why.
 """
 
 import dataclasses
 import hashlib
+import inspect
 import random
 from collections.abc import KeysView
 
@@ -169,6 +172,14 @@ TP_SIZED_DIGEST = "42ee5898388d81870a5656d438f139ea1bed424a7f43f2e8ca5f9a19235f4
 PREPARED_SMALL_N = range(1, 9)
 PREPARED_RANDOM = 40
 PREPARED_DIGEST = "e7c17d901de48e6170697e96b4324719c63eb82eb0187c341692e2cedf57c436"
+
+# every exhaustive enumeration with at most 10 vertices: the events of
+# each proper and tp representation, and the adjacency of each caterpillar
+# with its independent sets of every size k <= 4; the tier-1 gates count
+# these up to n = 10, and the other digests pin their content to n = 8
+ENUMERATED_N = range(1, 11)
+ENUMERATED_K = range(5)
+ENUMERATION_DIGEST = "32483719aea95034af90a372148bbf89f604926063b57e1cb404728a37317063"
 
 
 def instances_digest(cls: str) -> str:
@@ -584,6 +595,25 @@ def prepared_digest() -> tuple[str, int]:
     return h.hexdigest(), rows
 
 
+def enumeration_digest() -> tuple[str, int, int]:
+    """The digest, the count of structures and the count of independent sets."""
+    h = hashlib.sha256()
+    structures = sets = 0
+    for n in ENUMERATED_N:
+        for enumerate_reps in (enumerate_proper_representations, enumerate_tp_representations):
+            for rep in enumerate_reps(n):
+                h.update(f"{enumerate_reps.__name__} {rep.events}\n".encode())
+                structures += 1
+        for g in enumerate_caterpillar_graphs(n):
+            h.update(f"caterpillar {g.n} {g.adj}\n".encode())
+            structures += 1
+            for k in ENUMERATED_K:
+                found = list(enumerate_independent_sets(g, k))
+                h.update(f"{k} {found}\n".encode())
+                sets += len(found)
+    return h.hexdigest(), structures, sets
+
+
 @pytest.mark.parametrize("cls", sorted(INSTANCE_DIGESTS))
 def test_generated_instances_match_digest(cls):
     assert instances_digest(cls) == INSTANCE_DIGESTS[cls]
@@ -632,3 +662,12 @@ def test_sized_tp_answers_match_digest():
 
 def test_prepared_values_match_digest():
     assert prepared_digest() == (PREPARED_DIGEST, 5_250)
+
+
+def test_enumerations_match_digest():
+    # the benchmark's tracer times generate.enumerate by wrapping each
+    # generator function, so they must stay generator functions
+    for fn in (enumerate_proper_representations, enumerate_tp_representations,
+               enumerate_caterpillar_graphs, enumerate_independent_sets):
+        assert inspect.isgeneratorfunction(fn), fn.__name__
+    assert enumeration_digest() == (ENUMERATION_DIGEST, 7_148, 17_910)
