@@ -310,3 +310,65 @@ def test_edge_section_matches_reference_on_the_named_cases():
             text = head.format(count) + "".join(line + "\n" for line in lines) + tail
             expected = instance_outcome(reference_parse_instance, text)
             assert instance_outcome(parse_instance, text) == expected, text
+
+
+UNKNOWN_LINES = ("foo 1", "N 3", "nn 2", "blues 1", "Red 1", "reps L1 R1", "edge 1", "n3")
+
+
+def move_lines(lines, rng):
+    """The lines with one moved, one section of the other kind added, an
+    unknown key added or an n, blue or red line doubled."""
+    lines = list(lines)
+    kind = rng.randrange(4)
+    if kind == 0:  # a line moved
+        lines.insert(rng.randint(0, len(lines) - 1), lines.pop(rng.randrange(len(lines))))
+    elif kind == 1:  # a section of the other kind
+        if any(line.startswith("rep") for line in lines):
+            section = rng.choice((["edges 1", "1 2"], ["edges 0"]))
+        else:
+            section = ["rep " + " ".join(random_word(rng, rng.randint(1, 3)))]
+        at = rng.randint(0, len(lines))
+        lines[at:at] = section
+    elif kind == 2:  # an unknown key
+        lines.insert(rng.randint(0, len(lines)), rng.choice(UNKNOWN_LINES))
+    else:  # a second n, blue or red line
+        lines.insert(rng.randint(0, len(lines)), rng.choice(("n 2", "blue 1", "red 1")))
+    return lines
+
+
+def test_instance_line_order_matches_reference_on_seeded_mutations():
+    rng = random.Random("instance-order")
+    seen = set()
+    for case in range(4000):
+        lines = random_instance(rng)
+        for _ in range(rng.choice((1, 1, 2))):
+            lines = move_lines(lines, rng)
+        text = "\n".join(lines) + "\n"
+        expected = instance_outcome(reference_parse_instance, text)
+        assert instance_outcome(parse_instance, text) == expected, (case, text)
+        if not isinstance(expected, tuple):
+            seen.add(expected.split(": ", 1)[1].split(":")[0])
+    assert seen >= {
+        "rep line before n line", "edges line before n line",
+        "blue line before n line", "red line before n line", "unknown line",
+        "multiple rep/edges sections", "duplicate n line", "duplicate blue line",
+        "duplicate red line",
+    }, seen
+
+
+def test_instance_line_order_matches_reference_on_the_named_cases():
+    n, rep, edges = "n 3", "rep L1 L2 R1 L3 R2 R3", "edges 2\n1 2\n2 3"
+    blue, red = "blue 1", "red 3"
+    cases = [
+        [rep, n, blue, red], [edges, n, blue, red], [blue, n, rep, red],
+        [red, n, rep, blue], ["foo 1", n, rep, blue, red], [n, "foo 1", rep, blue, red],
+        [n, rep, blue, red, "foo 1"], ["foo 1"], [n, rep, edges, blue, red],
+        [n, edges, rep, blue, red], [n, rep, rep, blue, red], [n, edges, blue, red, "edges 0"],
+        [n, rep, blue, red, blue], [n, rep, blue, red, red], [n, rep, blue, blue, red],
+        [n, blue, red, rep], [n, blue, red, edges], [n, rep, blue, n, red],
+        [n, rep, blue], [n, rep, red], [n, blue, red], [n, edges, "red 4", red],
+    ]
+    for lines in cases:
+        text = "\n".join(lines) + "\n"
+        expected = instance_outcome(reference_parse_instance, text)
+        assert instance_outcome(parse_instance, text) == expected, text
