@@ -1,4 +1,6 @@
-"""Every package module other than ``__init__`` uses each name it imports."""
+"""Every package module other than ``__init__`` uses each name it
+imports, and every module-level private name is read somewhere in the
+package."""
 
 import ast
 from pathlib import Path
@@ -7,11 +9,8 @@ import pytest
 
 import tokenslide
 
-MODULES = sorted(
-    path
-    for path in Path(tokenslide.__file__).parent.glob("*.py")
-    if path.name != "__init__.py"
-)
+PACKAGE = sorted(Path(tokenslide.__file__).parent.glob("*.py"))
+MODULES = [path for path in PACKAGE if path.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,3 +43,67 @@ def test_an_unused_import_is_caught():
         "    return sys.exit(x)\n"
     )
     assert unused_imports(source) == ["Callable (line 2)", "osp (line 3)"]
+
+
+def defined_names(stmt: ast.stmt) -> list[str]:
+    """Names a module-level function, class or assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` definitions that no other module-level
+    statement of any module reads, by name or as an attribute; a helper
+    that only calls itself counts as unread."""
+    definitions = []
+    reads: dict[str, set[tuple[str, int]]] = {}
+    for module, source in sources.items():
+        for index, stmt in enumerate(ast.parse(source).body):
+            for name in defined_names(stmt):
+                if name.startswith("_") and not name.startswith("__"):
+                    definitions.append((module, index, name, stmt.lineno))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reads.setdefault(node.id, set()).add((module, index))
+                elif isinstance(node, ast.Attribute):
+                    reads.setdefault(node.attr, set()).add((module, index))
+    return [
+        f"{module}.{name} (line {line})"
+        for module, index, name, line in definitions
+        if not reads.get(name, set()) - {(module, index)}
+    ]
+
+
+def test_package_reads_every_private_name():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert unread_private_names(sources) == []
+
+
+def test_an_unread_private_name_is_caught():
+    sources = {
+        "a": (
+            "_LIMIT = 3\n"
+            "_TABLE: dict = {}\n"
+            "def _recurse(x):\n"
+            "    return _recurse(x - 1)\n"
+            "class _Dead:\n"
+            "    pass\n"
+            "def _used():\n"
+            "    return _LIMIT\n"
+            "_via_attribute = 1\n"
+        ),
+        "b": (
+            "from . import a\n"
+            "from .a import _used\n"
+            "def run():\n"
+            "    return _used() + a._via_attribute\n"
+        ),
+    }
+    assert unread_private_names(sources) == [
+        "a._TABLE (line 2)", "a._recurse (line 3)", "a._Dead (line 5)"
+    ]
