@@ -20,7 +20,6 @@ import argparse
 import sys
 from contextlib import nullcontext
 from functools import cache
-from typing import TextIO
 
 from .crosscheck import CLASSES, crosscheck
 from .caterpillar import solve_caterpillar
@@ -101,11 +100,6 @@ def _run_class_solver(cls: str, inst: Instance) -> SolveResult:
         raise
 
 
-def _print_no(res: SolveResult, out: TextIO) -> None:
-    tail = "".join(f" {w}" for w in res.witness)
-    print(f"NO {res.reason}{tail}", file=out)
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = parse_instance(_read(args.inp))
     res = _run_class_solver(args.cls, inst)
@@ -114,7 +108,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             print("YES", file=out)
             out.write(serialize_sequence(res.moves))
             return 0
-        _print_no(res, out)
+        print("NO", res.reason, *res.witness, file=out)
     return 1
 
 
@@ -147,15 +141,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         if res.status == "REACHABLE":
             print("YES", file=out)
             out.write(serialize_sequence(res.moves))
-            print(f"STATES {res.states_explored}", file=out)
-            return 0
-        if res.status == "UNREACHABLE":
-            print("NO", file=out)
-            print(f"STATES {res.states_explored}", file=out)
-            return 1
-        print("CAP_EXCEEDED", file=out)
+        else:
+            print("NO" if res.status == "UNREACHABLE" else "CAP_EXCEEDED", file=out)
         print(f"STATES {res.states_explored}", file=out)
-    return 2
+    return {"REACHABLE": 0, "UNREACHABLE": 1}.get(res.status, 2)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

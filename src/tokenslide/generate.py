@@ -4,7 +4,8 @@ exhaustive enumerations of small instances."""
 from __future__ import annotations
 
 import random
-from itertools import combinations_with_replacement
+from functools import cache
+from itertools import chain, combinations, combinations_with_replacement, count, product
 from typing import Iterator
 
 from .graphs import Graph
@@ -256,6 +257,27 @@ def gen_instance(cls: str, n: int, k: int, seed: int = 0) -> Instance:
 
 # -- exhaustive enumerations -------------------------------------------------
 
+def _proper_walk(
+    n: int, events: list[tuple[str, int]], lefts: int, rights: int
+) -> Iterator[IntervalRepresentation]:
+    """Every completion of ``events``, which has opened ``lefts`` and
+    closed ``rights`` intervals, trying an L before an R.  Intervals close
+    in the order they open, so the next R closes interval ``rights + 1``;
+    it may come while another interval stays open, or once every L is
+    placed."""
+    if rights == n:
+        yield IntervalRepresentation(tuple(events))
+        return
+    if lefts < n:
+        events.append(("L", lefts + 1))
+        yield from _proper_walk(n, events, lefts + 1, rights)
+        events.pop()
+    if lefts - rights >= 2 or lefts == n:
+        events.append(("R", rights + 1))
+        yield from _proper_walk(n, events, lefts, rights + 1)
+        events.pop()
+
+
 def enumerate_proper_representations(n: int) -> Iterator[IntervalRepresentation]:
     """All canonical connected proper representations with n intervals.
 
@@ -263,163 +285,97 @@ def enumerate_proper_representations(n: int) -> Iterator[IntervalRepresentation]
     forces right endpoints to close in the same order, so each valid
     L/R pattern yields exactly one representation.
     """
-
-    def walk(pattern: list[str], lefts: int, open_count: int) -> Iterator[list[str]]:
-        if len(pattern) == 2 * n:
-            yield pattern
-            return
-        if lefts < n:
-            pattern.append("L")
-            yield from walk(pattern, lefts + 1, open_count + 1)
-            pattern.pop()
-        if open_count >= 2 or (lefts == n and open_count >= 1):
-            pattern.append("R")
-            yield from walk(pattern, lefts, open_count - 1)
-            pattern.pop()
-
-    for pattern in walk([], 0, 0):
-        events: list[tuple[str, int]] = []
-        next_id = 1
-        fifo: list[int] = []
-        head = 0
-        for side in pattern:
-            if side == "L":
-                events.append(("L", next_id))
-                fifo.append(next_id)
-                next_id += 1
-            else:
-                events.append(("R", fifo[head]))
-                head += 1
-        yield IntervalRepresentation(tuple(events))
+    yield from _proper_walk(n, [], 0, 0)
 
 
-def _tp_shapes(size: int, cache: dict[int, list[tuple]]) -> list[tuple]:
+def _partitions(remaining: int, max_part: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of ``remaining`` into parts of at most ``max_part``,
+    each listed largest part first, in decreasing lexicographic order."""
+    if remaining == 0:
+        yield ()
+        return
+    for part in range(min(remaining, max_part), 0, -1):
+        for rest in _partitions(remaining - part, part):
+            yield (part, *rest)
+
+
+@cache
+def _tp_shapes(size: int) -> tuple[tuple, ...]:
     """Canonical shapes of nestings: nested sorted tuples of children.
-    Size-2 shapes are excluded (a sole child is a twin of its parent)."""
-    if size in cache:
-        return cache[size]
-    if size == 1:
-        cache[1] = [()]
-        return cache[1]
-    if size == 2:
-        cache[2] = []
-        return cache[2]
+
+    A sole child is a twin of its parent, so no part of the children's
+    partition exceeds ``size - 2``, and there are no shapes of size 2.
+    Children of equal size are a multiset of that size's shapes, and the
+    product takes the sizes in increasing order, first size slowest.
+    """
     shapes: list[tuple] = []
-
-    def partitions(remaining: int, max_part: int, parts: list[int]) -> Iterator[list[int]]:
-        if remaining == 0:
-            if len(parts) >= 2:
-                yield parts
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            if part == 2:
-                continue
-            parts.append(part)
-            yield from partitions(remaining - part, part, parts)
-            parts.pop()
-
-    for parts in partitions(size - 1, size - 1, []):
-        groups: dict[int, int] = {}
-        for p in parts:
-            groups[p] = groups.get(p, 0) + 1
-        choices_per_size = [
-            list(combinations_with_replacement(_tp_shapes(p, cache), count))
-            for p, count in sorted(groups.items())
+    for parts in _partitions(size - 1, size - 2):
+        per_size = [
+            combinations_with_replacement(_tp_shapes(p), parts.count(p))
+            for p in sorted(set(parts))
         ]
+        for combos in product(*per_size):
+            shapes.append(tuple(sorted(chain.from_iterable(combos))))
+    return tuple(shapes)
 
-        def build(level: int, acc: list[tuple]) -> None:
-            if level == len(choices_per_size):
-                shapes.append(tuple(sorted(acc)))
-                return
-            for combo in choices_per_size[level]:
-                build(level + 1, acc + list(combo))
 
-        build(0, [])
-    cache[size] = shapes
-    return shapes
+def _nesting_events(shape: tuple, ids: Iterator[int], events: list[tuple[str, int]]) -> None:
+    """Append the events of ``shape`` to ``events``, its intervals
+    numbered in preorder from ``ids``."""
+    vid = next(ids)
+    events.append(("L", vid))
+    for child in shape:
+        _nesting_events(child, ids, events)
+    events.append(("R", vid))
 
 
 def enumerate_tp_representations(n: int) -> Iterator[IntervalRepresentation]:
     """All connected twin-free nestings with n intervals, one per
     isomorphism class, vertex ids in preorder."""
-    cache: dict[int, list[tuple]] = {}
-    for shape in _tp_shapes(n, cache):
+    for shape in _tp_shapes(n):
         events: list[tuple[str, int]] = []
-        counter = [0]
-
-        def emit(node: tuple) -> None:
-            counter[0] += 1
-            vid = counter[0]
-            events.append(("L", vid))
-            for child in node:
-                emit(child)
-            events.append(("R", vid))
-
-        emit(shape)
+        _nesting_events(shape, count(1), events)
         yield IntervalRepresentation(tuple(events))
+
+
+def _leaf_counts(total: int, slots: int, lo: int = 1) -> Iterator[tuple[int, ...]]:
+    """Leaf counts of ``slots`` spine vertices summing to ``total``, in
+    lexicographic order.  The first slot takes at least ``lo`` leaves and
+    the last at least one, since a spine end without leaves is a leaf."""
+    if slots == 1:
+        if total >= 1:
+            yield (total,)
+        return
+    for first in range(lo, total + 1):
+        for rest in _leaf_counts(total - first, slots - 1, 0):
+            yield (first, *rest)
 
 
 def enumerate_caterpillar_graphs(n: int) -> Iterator[Graph]:
     """All caterpillar trees with n vertices, one per isomorphism class.
 
     Spine vertices are numbered 1..m in path order and leaves are
-    appended afterwards, slot by slot.  Includes stars, bare paths, and
-    multi-leaf spine vertices; n = 1 and n = 2 yield the trivial graphs.
+    appended afterwards, slot by slot.  Includes stars (m = 1), bare
+    paths, and multi-leaf spine vertices; n = 1 and n = 2 yield the
+    trivial graphs.
     """
-    if n == 1:
-        yield Graph(1, ())
+    if n <= 2:
+        yield Graph(n, ((1, 2),) if n == 2 else ())
         return
-    if n == 2:
-        yield Graph(2, ((1, 2),))
-        return
-    yield Graph(n, ((1, i) for i in range(2, n + 1)))  # star
-    seen: set[tuple[int, ...]] = set()
-    for m in range(2, n - 1):
-        total = n - m
-
-        def compositions(remaining: int, slots: int) -> Iterator[tuple[int, ...]]:
-            if slots == 1:
-                if remaining >= 1:
-                    yield (remaining,)
-                return
-            lo = 1 if slots == m else 0
-            for first in range(lo, remaining + 1):
-                for rest in compositions(remaining - first, slots - 1):
-                    yield (first, *rest)
-
-        for comp in compositions(total, m):
-            if comp[0] < 1 or comp[-1] < 1:
+    for m in range(1, n - 1):
+        for counts in _leaf_counts(n - m, m):
+            # the reversed spine is the same caterpillar; counts come in
+            # lexicographic order, so the smaller reading comes first
+            if counts > counts[::-1]:
                 continue
-            canon = min(comp, comp[::-1])
-            if canon in seen:
-                continue
-            seen.add(canon)
             edges = [(i, i + 1) for i in range(1, m)]
-            next_leaf = m + 1
-            for slot, count in enumerate(canon, start=1):
-                for _ in range(count):
-                    edges.append((slot, next_leaf))
-                    next_leaf += 1
+            slots = [slot for slot, c in enumerate(counts, start=1) for _ in range(c)]
+            edges += zip(slots, range(m + 1, n + 1))
             yield Graph(n, edges)
 
 
 def enumerate_independent_sets(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     """All independent sets of size exactly k, in lexicographic order."""
-
-    def extend(start: int, chosen: list[int], blocked: set[int]) -> Iterator[tuple[int, ...]]:
-        if len(chosen) == k:
-            yield tuple(chosen)
-            return
-        for v in range(start, g.n + 1):
-            if g.n - v + 1 < k - len(chosen):
-                break
-            if v in blocked:
-                continue
-            newly = [w for w in (*g.adj[v], v) if w not in blocked]
-            blocked.update(newly)
-            chosen.append(v)
-            yield from extend(v + 1, chosen, blocked)
-            chosen.pop()
-            blocked.difference_update(newly)
-
-    yield from extend(1, [], set())
+    for vertices in combinations(range(1, g.n + 1), k):
+        if g.touching(vertices) is None:
+            yield vertices

@@ -136,43 +136,38 @@ class ValidationResult:
     reason: str | None = None
 
 
-class _AdjacencyTokens:
-    """Occupied vertices of a Graph; edges come from its sorted adjacency."""
-
-    __slots__ = ("adj", "occupied")
-
-    def __init__(self, g: Graph, tokens: set[int]):
-        self.adj = g.adj
-        self.occupied = set(tokens)
-
-    def replay(self, seq) -> tuple[int, str | None]:
-        """Slide the tokens along ``seq``: the last step and None, or the
-        first step that breaks a rule and the rule.  A move costs
-        O(log degree + min(degree, k log degree)) for k tokens."""
-        adj, occupied = self.adj, self.occupied
-        limit = 8 * len(occupied)
-        step = 0
-        for step, (src, dst) in enumerate(seq, start=1):
-            if src not in occupied or dst in occupied:
-                return step, "SOURCE_NOT_OCCUPIED" if src not in occupied else "TARGET_OCCUPIED"
-            near = adj[src]
-            at = bisect_left(near, dst)
-            if at == len(near) or near[at] != dst:
-                return step, "NOT_AN_EDGE"
-            occupied.discard(src)
-            # as in Graph.touching, adj[dst] is read whole when it holds at
-            # most 8 vertices per token, and each token is bisected into it
-            # otherwise
-            near = adj[dst]
-            if (not occupied.isdisjoint(near) if len(near) <= limit
-                    else _bisect_any(near, occupied)):
-                return step, "NOT_INDEPENDENT"
-            occupied.add(dst)
-        return step, None
+def _replay_adjacency(g: Graph, occupied: set[int], seq) -> tuple[int, str | None]:
+    """Slide the tokens on ``occupied`` along ``seq``, moving them in the
+    set, with edges from the sorted adjacency of ``g``: the last step and
+    None, or the first step that breaks a rule and the rule.  A move costs
+    O(log degree + min(degree, k log degree)) for k tokens."""
+    adj = g.adj
+    limit = 8 * len(occupied)
+    step = 0
+    for step, (src, dst) in enumerate(seq, start=1):
+        if src not in occupied or dst in occupied:
+            return step, "SOURCE_NOT_OCCUPIED" if src not in occupied else "TARGET_OCCUPIED"
+        near = adj[src]
+        at = bisect_left(near, dst)
+        if at == len(near) or near[at] != dst:
+            return step, "NOT_AN_EDGE"
+        occupied.discard(src)
+        # as in Graph.touching, adj[dst] is read whole when it holds at
+        # most 8 vertices per token, and each token is bisected into it
+        # otherwise
+        near = adj[dst]
+        if (not occupied.isdisjoint(near) if len(near) <= limit
+                else _bisect_any(near, occupied)):
+            return step, "NOT_INDEPENDENT"
+        occupied.add(dst)
+    return step, None
 
 
-class _RankTokens:
-    """Occupied intervals of a representation, as rank lists in left order.
+def _replay_ranks(
+    rep: IntervalRepresentation, occupied: set[int], seq
+) -> tuple[int, str | None]:
+    """``_replay_adjacency`` with edges from the rank lists of ``rep``,
+    at one bisect a move.
 
     Two intervals meet iff each one's left rank lies before the other's
     right rank.  Occupied intervals are pairwise disjoint, so sorting them
@@ -181,41 +176,27 @@ class _RankTokens:
     one that meets a further token meets src's neighbour in the order on
     that side, so a slide compares against those two neighbours only.
     """
-
-    __slots__ = ("n", "left", "right", "occupied", "lefts", "rights")
-
-    def __init__(self, rep: IntervalRepresentation, tokens: set[int]):
-        self.n = rep.n
-        self.left = rep.left_rank
-        self.right = rep.right_rank
-        self.occupied = set(tokens)
-        spans = sorted((self.left[v], self.right[v]) for v in self.occupied)
-        self.lefts = [lo for lo, _ in spans]
-        self.rights = [hi for _, hi in spans]
-
-    def replay(self, seq) -> tuple[int, str | None]:
-        """Slide the tokens along ``seq``: the last step and None, or the
-        first step that breaks a rule and the rule.  A move costs one
-        bisect."""
-        n, left, right = self.n, self.left, self.right
-        occupied, lefts, rights = self.occupied, self.lefts, self.rights
-        last = len(lefts) - 1
-        step = 0
-        for step, (src, dst) in enumerate(seq, start=1):
-            if src not in occupied or dst in occupied:
-                return step, "SOURCE_NOT_OCCUPIED" if src not in occupied else "TARGET_OCCUPIED"
-            # src holds a token, so it is in range; dst comes straight
-            # from a move and is range-checked before it indexes the ranks
-            if not (1 <= dst <= n and left[src] < right[dst] and left[dst] < right[src]):
-                return step, "NOT_AN_EDGE"
-            lo, hi = left[dst], right[dst]
-            at = bisect_left(lefts, left[src])
-            if at > 0 and rights[at - 1] > lo or at < last and lefts[at + 1] < hi:
-                return step, "NOT_INDEPENDENT"
-            lefts[at], rights[at] = lo, hi
-            occupied.discard(src)
-            occupied.add(dst)
-        return step, None
+    n, left, right = rep.n, rep.left_rank, rep.right_rank
+    spans = sorted((left[v], right[v]) for v in occupied)
+    lefts = [lo for lo, _ in spans]
+    rights = [hi for _, hi in spans]
+    last = len(lefts) - 1
+    step = 0
+    for step, (src, dst) in enumerate(seq, start=1):
+        if src not in occupied or dst in occupied:
+            return step, "SOURCE_NOT_OCCUPIED" if src not in occupied else "TARGET_OCCUPIED"
+        # src holds a token, so it is in range; dst comes straight
+        # from a move and is range-checked before it indexes the ranks
+        if not (1 <= dst <= n and left[src] < right[dst] and left[dst] < right[src]):
+            return step, "NOT_AN_EDGE"
+        lo, hi = left[dst], right[dst]
+        at = bisect_left(lefts, left[src])
+        if at > 0 and rights[at - 1] > lo or at < last and lefts[at + 1] < hi:
+            return step, "NOT_INDEPENDENT"
+        lefts[at], rights[at] = lo, hi
+        occupied.discard(src)
+        occupied.add(dst)
+    return step, None
 
 
 def validate_sequence(
@@ -250,13 +231,11 @@ def validate_sequence(
             raise ValueError(f"{label} vertex out of range 1..{g.n}")
     if g.touching(blue_set) is not None:
         return ValidationResult(False, 0, "NOT_INDEPENDENT")
-    if isinstance(g, IntervalRepresentation):
-        tokens = _RankTokens(g, blue_set)
-    else:
-        tokens = _AdjacencyTokens(g, blue_set)
-    step, broken = tokens.replay(seq)
+    replay = _replay_ranks if isinstance(g, IntervalRepresentation) else _replay_adjacency
+    # the replay moves the tokens in blue_set, which ends as the final set
+    step, broken = replay(g, blue_set, seq)
     if broken is not None:
         return ValidationResult(False, step, broken)
-    if tokens.occupied != red_set:
+    if blue_set != red_set:
         return ValidationResult(False, step, "WRONG_FINAL_SET")
     return ValidationResult(True)

@@ -119,13 +119,16 @@ def parse_instance(text: str) -> Instance:
     n: int | None = None
     rep: IntervalRepresentation | None = None
     edge_list: list[tuple[int, int]] | None = None
-    blue: tuple[int, ...] | None = None
-    red: tuple[int, ...] | None = None
+    tokens: dict[str, tuple[int, ...]] = {}  # the blue and red lines by key
 
     i = 0
     while i < len(lines):
         line = lines[i]
         key = line.split(maxsplit=1)[0]
+        if key not in ("n", "rep", "edges", "blue", "red"):
+            raise InstanceFormatError(f"unknown line: {line!r}")
+        if n is None and key != "n":
+            raise InstanceFormatError(f"{key} line before n line")
         # the rep line goes to its parser whole, unsplit here
         parts = line.split() if key != "rep" else []
         if key == "n":
@@ -136,22 +139,20 @@ def parse_instance(text: str) -> Instance:
             n = int(parts[1])
             if n > MAX_N:
                 raise InstanceFormatError(f"n={n} exceeds the limit of {MAX_N}")
+        elif key in ("blue", "red"):
+            if key in tokens:
+                raise InstanceFormatError(f"duplicate {key} line")
+            tokens[key] = _parse_vertex_list(parts[1:], n, key)
+        elif rep is not None or edge_list is not None:
+            raise InstanceFormatError("multiple rep/edges sections")
         elif key == "rep":
-            if n is None:
-                raise InstanceFormatError("rep line before n line")
-            if rep is not None or edge_list is not None:
-                raise InstanceFormatError("multiple rep/edges sections")
             try:
                 rep = parse_representation(line[len(key):])
             except RepresentationError as err:
                 raise InstanceFormatError(f"rep line, {err}") from None
             if rep.n != n:
                 raise InstanceFormatError(f"rep has {rep.n} intervals, expected n={n}")
-        elif key == "edges":
-            if n is None:
-                raise InstanceFormatError("edges line before n line")
-            if rep is not None or edge_list is not None:
-                raise InstanceFormatError("multiple rep/edges sections")
+        else:  # edges
             if len(parts) != 2 or not _is_number(parts[1]):
                 raise InstanceFormatError("edges line must be 'edges <count>'")
             m = int(parts[1])
@@ -159,28 +160,15 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceFormatError(f"expected {m} edge lines")
             edge_list = _parse_edges(lines[i + 1 : i + m + 1], n)
             i += m
-        elif key == "blue":
-            if n is None:
-                raise InstanceFormatError("blue line before n line")
-            if blue is not None:
-                raise InstanceFormatError("duplicate blue line")
-            blue = _parse_vertex_list(parts[1:], n, "blue")
-        elif key == "red":
-            if n is None:
-                raise InstanceFormatError("red line before n line")
-            if red is not None:
-                raise InstanceFormatError("duplicate red line")
-            red = _parse_vertex_list(parts[1:], n, "red")
-        else:
-            raise InstanceFormatError(f"unknown line: {line!r}")
         i += 1
 
     # every other line needs n before it, so a file that got here has one
     if rep is None and edge_list is None:
         raise InstanceFormatError("missing rep or edges section")
-    if blue is None or red is None:
+    if "blue" not in tokens or "red" not in tokens:
         raise InstanceFormatError("missing blue or red line")
-    return Instance(n, rep, tuple(edge_list) if edge_list is not None else None, blue, red)
+    edges = tuple(edge_list) if edge_list is not None else None
+    return Instance(n, rep, edges, tokens["blue"], tokens["red"])
 
 
 def serialize_instance(inst: Instance) -> str:
