@@ -57,6 +57,15 @@ def _open_out(path: str | None):
     return open(path, "w", encoding="utf-8")
 
 
+def positive(text: str) -> int:
+    """An option's integer of at least 1.  argparse reports anything else
+    as a usage error, naming this function for a non-integer."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _fail(message: str) -> int:
     print(message, file=sys.stderr)
     return 2
@@ -210,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="cls", choices=CLASSES, required=True)
     p.add_argument("--n", type=int, required=True, metavar="N",
                    help="largest vertex count")
-    p.add_argument("--k", type=int, default=3, metavar="K",
-                   help="largest token count")
+    p.add_argument("--k", type=positive, default=3, metavar="K",
+                   help="largest token count, at least 1")
     p.add_argument("--count", type=int, default=None, metavar="N",
                    help="random instances to draw (default: exhaustive)")
     p.add_argument("--seed", type=int, default=0)

@@ -263,7 +263,8 @@ def crosscheck(
 
     ``count=None`` checks every canonical graph with at most ``n_max``
     vertices over all independent-set pairs of equal size up to
-    ``k_max``; a number checks that many seeded random instances.  The
+    ``k_max``, which must be at least 1; a number checks that many
+    seeded random instances.  The
     search from each source expands at most ``cap`` states; a pair it
     cannot settle within that reads ``oracle=CAP``.  The class solver
     prepares each graph once and solves all of its pairs against the
@@ -281,6 +282,8 @@ def crosscheck(
     """
     if cls not in CLASSES:
         raise ValueError(f"unknown class {cls!r}, expected one of {CLASSES}")
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
     prepare: Callable[[Any], Any] | None = None
     if solver is None:
         # looked up per call, so a module name rebound from outside (a test

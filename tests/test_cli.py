@@ -436,6 +436,16 @@ class TestCrosscheck:
         assert code == 0
         assert out.splitlines()[-1] == "CHECKED 20 MISMATCHES 0"
 
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    @pytest.mark.parametrize("shape", [(), ("--count", "3")])
+    def test_token_bound_below_one_is_a_usage_error(self, k, shape, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["crosscheck", "--class", "proper", "--n", "5", *shape, "--k", k])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --k: must be at least 1, got {k}" in captured.err
+
 
 @pytest.mark.parametrize("command", ["solve", "verify", "oracle", "gen", "crosscheck"])
 def test_unwritable_out_exits_2(command, tmp_path, capsys):

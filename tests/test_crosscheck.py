@@ -221,3 +221,14 @@ def test_unknown_class_rejected():
 
     with pytest.raises(ValueError):
         crosscheck("chordal", 5)
+
+
+def test_token_bound_below_one_rejected():
+    import pytest
+
+    # an exhaustive sweep would check nothing and a randomized one could
+    # draw no token count
+    for k_max in (0, -2):
+        for count in (None, 3):
+            with pytest.raises(ValueError, match="k_max must be at least 1"):
+                crosscheck("proper", 5, count=count, k_max=k_max)
