@@ -264,14 +264,13 @@ def crosscheck(
     ``count=None`` checks every canonical graph with at most ``n_max``
     vertices over all independent-set pairs of equal size up to
     ``k_max``, which must be at least 1; a number checks that many
-    seeded random instances.  The
-    search from each source expands at most ``cap`` states; a pair it
-    cannot settle within that reads ``oracle=CAP``.  The class solver
-    prepares each graph once and solves all of its pairs against the
-    prepared value.  A solver exception other than
-    SolverInputError becomes a ``CRASH:<type>`` mismatch for its pair
-    (for every pair of the graph when preparing raised), and the count
-    of checked pairs stays complete.
+    seeded random instances.  The search from each source expands at
+    most ``cap`` states; a pair it cannot settle within that reads
+    ``oracle=CAP``.  The class solver prepares each graph once and
+    solves all of its pairs against the prepared value.  A solver
+    exception other than SolverInputError becomes a ``CRASH:<type>``
+    mismatch for its pair (for every pair of the graph when preparing
+    raised), and the count of checked pairs stays complete.
 
     The ``solver`` hook substitutes the answering function, which proves
     the harness catches a corrupted solver.  It takes the public solvers'
