@@ -12,11 +12,18 @@ Exit codes: 0 for YES or success, 1 for NO or any mismatch, 2 for usage,
 parse, or input errors, or an ``--out`` path that cannot be opened for
 writing (``ERROR OUTPUT: cannot write <path>: <reason>``).  Identical
 invocations produce identical bytes; the only randomness is the seed.
+
+``main`` holds the cyclic garbage collector off while a command runs and
+restores the caller's setting afterwards.  Commands build no reference
+cycles, so reference counting frees everything they allocate, and the
+collector's passes over their bulk of small containers would find
+nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from contextlib import nullcontext
 from functools import cache
@@ -63,6 +70,14 @@ def positive(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def non_negative(text: str) -> int:
+    """An option's integer of at least 0, reported like ``positive``."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value
 
 
@@ -204,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="breadth-first search baseline")
     common(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_STATE_CAP,
-                   metavar="N", help="state exploration cap")
+    p.add_argument("--budget", type=non_negative, default=DEFAULT_STATE_CAP,
+                   metavar="N", help="state exploration cap, at least 0")
 
     p = sub.add_parser("gen", help="generate a random instance")
     common(p)
@@ -217,21 +232,35 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crosscheck", help="sweep solver against the oracle")
     common(p)
     p.add_argument("--class", dest="cls", choices=CLASSES, required=True)
-    p.add_argument("--n", type=int, required=True, metavar="N",
-                   help="largest vertex count")
+    p.add_argument("--n", type=positive, required=True, metavar="N",
+                   help="largest vertex count, at least 1")
     p.add_argument("--k", type=positive, default=3, metavar="K",
                    help="largest token count, at least 1")
-    p.add_argument("--count", type=int, default=None, metavar="N",
-                   help="random instances to draw (default: exhaustive)")
+    p.add_argument("--count", type=positive, default=None, metavar="N",
+                   help="random instances to draw, at least 1 "
+                   "(default: exhaustive)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--budget", type=int, default=DEFAULT_STATE_CAP,
-                   metavar="N", help="oracle state cap per search, in "
-                   "exhaustive and randomized sweeps alike")
+    p.add_argument("--jobs", type=positive, default=1, metavar="J",
+                   help="worker processes, at least 1")
+    p.add_argument("--budget", type=non_negative, default=DEFAULT_STATE_CAP,
+                   metavar="N", help="oracle state cap per search, at least "
+                   "0, in exhaustive and randomized sweeps alike")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code, with the cyclic garbage
+    collector off until it returns or raises (see the module docstring)."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _dispatch(argv)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _dispatch(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)

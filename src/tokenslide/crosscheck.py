@@ -263,9 +263,11 @@ def crosscheck(
 
     ``count=None`` checks every canonical graph with at most ``n_max``
     vertices over all independent-set pairs of equal size up to
-    ``k_max``, which must be at least 1; a number checks that many
-    seeded random instances.  The search from each source expands at
-    most ``cap`` states; a pair it cannot settle within that reads
+    ``k_max``; a number checks that many seeded random instances.
+    ``n_max``, ``count``, ``k_max`` or ``jobs`` below 1, or ``cap`` below
+    0, raises ValueError, since such a sweep would check nothing or run
+    as some other one.  The search from each source expands at most
+    ``cap`` states; a pair it cannot settle within that reads
     ``oracle=CAP``.  The class solver prepares each graph once and
     solves all of its pairs against the prepared value.  A solver
     exception other than SolverInputError becomes a ``CRASH:<type>``
@@ -281,8 +283,13 @@ def crosscheck(
     """
     if cls not in CLASSES:
         raise ValueError(f"unknown class {cls!r}, expected one of {CLASSES}")
-    if k_max < 1:
-        raise ValueError(f"k_max must be at least 1, got {k_max}")
+    for name, value in (
+        ("n_max", n_max), ("count", count), ("k_max", k_max), ("jobs", jobs)
+    ):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    if cap < 0:
+        raise ValueError(f"cap must be at least 0, got {cap}")
     prepare: Callable[[Any], Any] | None = None
     if solver is None:
         # looked up per call, so a module name rebound from outside (a test
@@ -292,7 +299,6 @@ def crosscheck(
             "tp": (prepare_tp, solve_tp),
             "caterpillar": (prepare_caterpillar, solve_caterpillar),
         }[cls]
-        jobs = max(1, jobs)
     else:
         jobs = 1
     args = [

@@ -9,7 +9,7 @@ from itertools import chain, combinations, combinations_with_replacement, count,
 from typing import Iterator
 
 from .graphs import Graph
-from .instances import Instance
+from .instances import MAX_N, Instance
 from .intervals import IntervalRepresentation
 
 
@@ -252,6 +252,9 @@ def gen_instance(cls: str, n: int, k: int, seed: int = 0) -> Instance:
         raise ValueError(f"unknown class {cls!r}; expected one of {sorted(_GENERATORS)}")
     if k < 0 or n < 1:
         raise GenerationError("INFEASIBLE: need n >= 1 and k >= 0")
+    if n > MAX_N:
+        # no instance file may hold it, so refuse before building anything
+        raise GenerationError(f"INFEASIBLE: n={n} exceeds the limit of {MAX_N}")
     return _GENERATORS[cls](n, k, seed)
 
 

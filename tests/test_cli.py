@@ -369,6 +369,21 @@ class TestOracle:
         assert code == 2
         assert out.splitlines()[0] == "CAP_EXCEEDED"
 
+    def test_negative_budget_is_a_usage_error(self, tmp_path, capsys):
+        # it used to print CAP_EXCEEDED and STATES 1, as a budget of 0 does
+        path = write(tmp_path, "inst.txt", P8_REP)
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--in", path, "--budget", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --budget: must be at least 0, got -1" in captured.err
+
+    def test_zero_budget_is_accepted(self, tmp_path, capsys):
+        path = write(tmp_path, "inst.txt", P8_REP)
+        code, out, _ = run(capsys, "oracle", "--in", path, "--budget", "0")
+        assert (code, out) == (2, "CAP_EXCEEDED\nSTATES 1\n")
+
     def test_touching_blue_is_an_input_error(self, tmp_path, capsys):
         text = "n 4\nedges 3\n1 2\n2 3\n3 4\nblue 1 2\nred 1 3\n"
         path = write(tmp_path, "inst.txt", text)
@@ -412,6 +427,18 @@ class TestGen:
         assert first == second
         assert first.startswith("n 9\n")
 
+    def test_n_above_the_parse_limit_exits_2_at_once(self, tmp_path, capsys):
+        # solve, verify and oracle would refuse the file as a parse error,
+        # so gen refuses to write it, before generating any vertex
+        dest = tmp_path / "inst.txt"
+        code, out, err = run(
+            capsys, "gen", "--class", "caterpillar", "--n", str(MAX_N + 1),
+            "--k", "1", "--out", str(dest),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"ERROR INFEASIBLE: n={MAX_N + 1} exceeds the limit of {MAX_N}\n"
+        assert not dest.exists()
+
     def test_infeasible_exits_2(self, capsys):
         code, _, err = run(
             capsys, "gen", "--class", "proper", "--n", "2", "--k", "1"
@@ -445,6 +472,32 @@ class TestCrosscheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument --k: must be at least 1, got {k}" in captured.err
+
+    # the first four used to print CHECKED 0 MISMATCHES 0 and exit 0, the
+    # negative --jobs ran as one job, and the negative --budget reported
+    # every pair as oracle=CAP, as a budget of 0 does
+    @pytest.mark.parametrize("argv, message", [
+        (("--n", "0"), "argument --n: must be at least 1, got 0"),
+        (("--n", "-4", "--count", "3"), "argument --n: must be at least 1, got -4"),
+        (("--n", "5", "--count", "0"), "argument --count: must be at least 1, got 0"),
+        (("--n", "5", "--count", "-3"), "argument --count: must be at least 1, got -3"),
+        (("--n", "5", "--jobs", "-1"), "argument --jobs: must be at least 1, got -1"),
+        (("--n", "3", "--budget", "-1"), "argument --budget: must be at least 0, got -1"),
+    ])
+    def test_sweep_bound_below_its_least_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["crosscheck", "--class", "proper", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_zero_budget_is_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, "crosscheck", "--class", "proper", "--n", "3", "--budget", "0"
+        )
+        assert code == 1
+        assert out.splitlines()[-1] == "CHECKED 11 MISMATCHES 6"
 
 
 @pytest.mark.parametrize("command", ["solve", "verify", "oracle", "gen", "crosscheck"])

@@ -232,3 +232,24 @@ def test_token_bound_below_one_rejected():
         for count in (None, 3):
             with pytest.raises(ValueError, match="k_max must be at least 1"):
                 crosscheck("proper", 5, count=count, k_max=k_max)
+
+
+def test_sweep_bounds_below_their_least_rejected():
+    import pytest
+
+    # each of these would check nothing, run as some other job count, or
+    # search with a negative state cap
+    for kwargs, name in (
+        ({"n_max": 0}, "n_max must be at least 1, got 0"),
+        ({"n_max": -4, "count": 3}, "n_max must be at least 1, got -4"),
+        ({"count": 0}, "count must be at least 1, got 0"),
+        ({"count": -3}, "count must be at least 1, got -3"),
+        ({"jobs": 0}, "jobs must be at least 1, got 0"),
+        ({"jobs": -1}, "jobs must be at least 1, got -1"),
+        ({"jobs": -1, "solver": lambda *a: None}, "jobs must be at least 1"),
+        ({"cap": -1}, "cap must be at least 0, got -1"),
+        ({"cap": -1, "count": 3}, "cap must be at least 0, got -1"),
+    ):
+        args = {"n_max": 5, **kwargs}
+        with pytest.raises(ValueError, match=name):
+            crosscheck("proper", **args)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from tokenslide import generate
 from tokenslide.generate import (
     GenerationError,
     enumerate_caterpillar_graphs,
@@ -14,7 +15,7 @@ from tokenslide.generate import (
 )
 from tokenslide.caterpillar import prepare_caterpillar
 from tokenslide.graphs import Graph, find_strong_twins
-from tokenslide.instances import serialize_instance
+from tokenslide.instances import MAX_N, serialize_instance
 from tokenslide.intervals import GraphClass
 
 
@@ -73,6 +74,21 @@ def test_unknown_class_rejected():
 def test_infeasible_k_rejected():
     with pytest.raises(GenerationError):
         gen_instance("proper", 4, 4, seed=0)
+
+
+@pytest.mark.parametrize("cls", ["proper", "tp", "caterpillar"])
+def test_n_above_the_parse_limit_rejected_before_generating(cls, monkeypatch):
+    # no instance file may hold it, so the class generator is never called
+    def unreachable(*args):
+        raise AssertionError("generated an instance no file may hold")
+
+    monkeypatch.setitem(generate._GENERATORS, cls, unreachable)
+    with pytest.raises(
+        GenerationError, match=f"INFEASIBLE: n={MAX_N + 1} exceeds the limit of {MAX_N}"
+    ):
+        gen_instance(cls, MAX_N + 1, 1, seed=0)
+    with pytest.raises(AssertionError, match="generated an instance"):
+        gen_instance(cls, MAX_N, 1, seed=0)
 
 
 # -- exhaustive enumerations -------------------------------------------------
