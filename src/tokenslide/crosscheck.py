@@ -94,24 +94,31 @@ def _tokenless(structure, g: Graph) -> Instance:
     return Instance(g.n, None, g.edges(), (), ())
 
 
+def _failure(err: Exception) -> tuple[str, str]:
+    """The solver text and note that report an exception a solver or a
+    prepare raised.  Only these are kept: the exception's traceback holds
+    the sweep's own frame, which would hold the exception in turn."""
+    if isinstance(err, SolverInputError):
+        return f"ERROR:{err.kind}", "solver rejected the instance"
+    # the message and the raising function, not its line, on one line
+    where = traceback.extract_tb(err.__traceback__)[-1]
+    note = f"{err} at {Path(where.filename).name} in {where.name}"
+    return f"CRASH:{type(err).__name__}", " ".join(note.split())
+
+
 def _judge(
     g: Graph, blue, red, outcome, dist: int | str | None
 ) -> tuple[str, str, str] | None:
     """Compare one solver outcome against one oracle distance.
 
-    ``outcome`` is a SolveResult or the exception the solver raised.
-    ``dist`` is what ``SlideSpace.distance`` answered: the shortest
-    slide distance, None for unreachable, or CAPPED when the search gave
-    up.  Returns None when the two agree, otherwise (solver text, oracle
-    text, note).
+    ``outcome`` is a SolveResult or, when the solver raised, the
+    ``_failure`` pair for the exception.  ``dist`` is what
+    ``SlideSpace.distance`` answered: the shortest slide distance, None
+    for unreachable, or CAPPED when the search gave up.  Returns None
+    when the two agree, otherwise (solver text, oracle text, note).
     """
-    if isinstance(outcome, SolverInputError):
-        solver_s, note = f"ERROR:{outcome.kind}", "solver rejected the instance"
-    elif isinstance(outcome, Exception):
-        # the message and the raising function, not its line, on one line
-        where = traceback.extract_tb(outcome.__traceback__)[-1]
-        note = f"{outcome} at {Path(where.filename).name} in {where.name}"
-        solver_s, note = f"CRASH:{type(outcome).__name__}", " ".join(note.split())
+    if isinstance(outcome, tuple):
+        solver_s, note = outcome
     else:
         # the strings are made only for a disagreement
         res: SolveResult = outcome
@@ -226,20 +233,19 @@ def _shard(
     ):
         structure = g if inst.rep is None else inst.rep
         space = SlideSpace(g, cap)
-        # an exception is kept as the outcome, so one failing graph or pair
+        # an exception is kept as its report, so one failing graph or pair
         # never ends the sweep; a hook has no prepare step and gets the raw
         # structure, and a graph whose prepare failed gives every one of its
-        # pairs that error
+        # pairs that report
         try:
-            prepared = structure if prepare is None else prepare(structure)
+            prepared, failed = structure if prepare is None else prepare(structure), None
         except Exception as err:
-            prepared = err
-        failed = isinstance(prepared, Exception)
+            prepared, failed = None, _failure(err)
         for blue, red in pairs:
             try:
-                outcome = prepared if failed else solver(prepared, blue, red)
+                outcome = failed or solver(prepared, blue, red)
             except Exception as err:
-                outcome = err
+                outcome = _failure(err)
             verdict = _judge(g, blue, red, outcome, space.distance(blue, red))
             if verdict is not None:
                 bad = replace(inst, blue=blue, red=red)

@@ -39,13 +39,19 @@ def quadratic_path_instance(k: int) -> Instance:
     return Instance(n, path_representation(n), None, blue, red)
 
 
+def _with_graph(inst: Instance, g: Graph) -> Instance:
+    """``inst`` holding ``g``, the graph it describes, as its ``graph``."""
+    inst.__dict__["graph"] = g  # what the cached property would build
+    return inst
+
+
 def _greedy_independent_sample(g: Graph, k: int, rng: random.Random, tries: int) -> tuple[int, ...]:
     order = list(range(1, g.n + 1))
     for _ in range(tries):
         rng.shuffle(order)
         chosen: set[int] = set()
         for v in order:
-            if all(w not in chosen for w in g.adj[v]):
+            if chosen.isdisjoint(g.adj[v]):
                 chosen.add(v)
                 if len(chosen) == k:
                     return tuple(sorted(chosen))
@@ -129,7 +135,7 @@ def _gen_proper(n: int, k: int, seed: int) -> Instance:
         except GenerationError as err:
             last_err = err
             continue
-        return Instance(n, rep, None, blue, red)
+        return _with_graph(Instance(n, rep, None, blue, red), g)
     raise last_err or GenerationError("INFEASIBLE: no instance found")
 
 
@@ -235,7 +241,7 @@ def _gen_caterpillar(n: int, k: int, seed: int) -> Instance:
     g = Graph(n, edges)
     blue = _greedy_independent_sample(g, k, rng, 200)
     red = _greedy_independent_sample(g, k, rng, 200)
-    return Instance(n, None, edges, blue, red)
+    return _with_graph(Instance(n, None, edges, blue, red), g)
 
 
 _GENERATORS = {
@@ -255,6 +261,9 @@ def gen_instance(cls: str, n: int, k: int, seed: int = 0) -> Instance:
     if n > MAX_N:
         # no instance file may hold it, so refuse before building anything
         raise GenerationError(f"INFEASIBLE: n={n} exceeds the limit of {MAX_N}")
+    if k > n:
+        # no graph on n vertices has k independent ones, so no retry can succeed
+        raise GenerationError(f"INFEASIBLE: k={k} exceeds n={n}")
     return _GENERATORS[cls](n, k, seed)
 
 

@@ -7,7 +7,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .intervals import IntervalRepresentation
+from .intervals import IntervalRepresentation, RepresentationError
 
 
 class Graph:
@@ -15,26 +15,39 @@ class Graph:
 
     Only the sorted adjacency is stored: an edge listed more than once
     counts once, and ``edges()`` and ``m`` are derived from ``adj``.
+    ``edges`` is an iterable of (u, v) pairs or, for the intersection
+    graph, an IntervalRepresentation of n intervals, whose adjacency is
+    read off its endpoint word without listing an edge.
     """
 
     __slots__ = ("n", "adj", "_components")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        adj: list[list[int]] = [[] for _ in range(n + 1)]
-        for u, v in edges:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"edge ({u}, {v}) out of range 1..{n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            adj[u].append(v)
-            adj[v].append(u)
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] | IntervalRepresentation):
+        if isinstance(edges, IntervalRepresentation):
+            if n != edges.n:
+                raise ValueError(f"n={n} but the representation has {edges.n} intervals")
+            adj = _interval_adjacency(edges)
+            if adj is None:
+                # the pairing check names the first token that breaks the word
+                edges.left_rank
+                raise RepresentationError("endpoints do not pair up", 1)
+        else:
+            lists: list[list[int]] = [[] for _ in range(n + 1)]
+            for u, v in edges:
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise ValueError(f"edge ({u}, {v}) out of range 1..{n}")
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+                lists[u].append(v)
+                lists[v].append(u)
+            adj = tuple(tuple(sorted(set(neighbors))) for neighbors in lists)
         self.n = n
-        self.adj = tuple(tuple(sorted(set(neighbors))) for neighbors in adj)
+        self.adj = adj
         self._components: list[list[int]] | None = None
 
     @classmethod
     def from_representation(cls, rep: IntervalRepresentation) -> "Graph":
-        return cls(rep.n, rep.intersection_edges())
+        return cls(rep.n, rep)
 
     @property
     def m(self) -> int:
@@ -86,6 +99,38 @@ class Graph:
 
     def distance(self, u: int, v: int) -> int:
         return self.bfs_distances(u)[v]
+
+
+def _interval_adjacency(rep: IntervalRepresentation) -> tuple[tuple[int, ...], ...] | None:
+    """Sorted adjacency of the intersection graph in one pass over the
+    endpoint word, or None for a malformed word.
+
+    An interval meets exactly the intervals open when it opens and those
+    that open before it closes.  So each open interval holds the list of
+    the first kind and its index in the left order, and on closing adds
+    the slice of the left order opened since, sorted: no edge is listed,
+    and a list lives only while its interval is open.
+    """
+    n = rep.n
+    adj: list[tuple[int, ...]] = [()] * (n + 1)
+    opened: list[int] = []  # the left order so far
+    pending: dict[int, tuple[int, list[int]]] = {}  # the open intervals, in left order
+    try:
+        for side, v in rep.events:
+            if side == "L":
+                pending[v] = (len(opened), list(pending))
+                opened.append(v)
+            else:
+                at, near = pending.pop(v)
+                near += opened[at + 1:]
+                near.sort()
+                adj[v] = tuple(near)
+    except (KeyError, IndexError):  # an R with no open L, or an id above n
+        return None
+    # every R closed an open L: the word pairs up iff the Ls are 1..n once each
+    if pending or sorted(opened) != list(range(1, n + 1)):
+        return None
+    return tuple(adj)
 
 
 def _bisect_any(near: tuple[int, ...], vs: set[int]) -> int:

@@ -15,7 +15,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import count
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class GraphClass(Enum):
@@ -98,17 +98,6 @@ class IntervalRepresentation:
                 return GraphClass.NEITHER
         return GraphClass.TRIVIALLY_PERFECT
 
-    def intersection_edges(self) -> Iterator[tuple[int, int]]:
-        """Edges of the intersection graph, yielded once each as (smaller
-        id, larger id) by a left-to-right sweep."""
-        active: set[int] = set()
-        for side, vid in self.events:
-            if side == "L":
-                yield from ((other, vid) if other < vid else (vid, other) for other in active)
-                active.add(vid)
-            else:
-                active.discard(vid)
-
 
 # Python's default int-string limit: int() raises a plain ValueError on a
 # longer numeral, so the parsers refuse it first
@@ -127,15 +116,15 @@ _numeral = itemgetter(slice(1, None))
 
 
 def _endpoint_ranks(sides: str, ids: list[int]) -> tuple[list[int], list[int]]:
-    """Check that the endpoints ``sides[i] + str(ids[i])``, ids positive,
-    pair up: one L and then one R for each vertex, and ids covering 1..n.
+    """Check that the endpoints ``sides[i] + str(ids[i])`` pair up: one L
+    and then one R for each vertex, and ids covering 1..n.
     Returns the 1-based rank of each vertex's L and R endpoint, indexed by
     vertex id, or raises at the first token that breaks the pairing."""
     half = len(ids) // 2
-    # only an id up to half can be valid, so only then does it index a
-    # list; any larger one is an error, named with maps of the ids seen
-    top = max(ids, default=0)
-    if top <= half:
+    # only an id in 1..half can be valid, so only then does it index a
+    # list; any other is an error, named with maps of the ids seen
+    in_range = 1 <= min(ids, default=1) and max(ids, default=0) <= half
+    if in_range:
         left, right = [0] * (half + 1), [0] * (half + 1)
     else:
         left, right = defaultdict(int), defaultdict(int)
@@ -155,9 +144,10 @@ def _endpoint_ranks(sides: str, ids: list[int]) -> tuple[list[int], list[int]]:
         rank, vid = next((rank, vid) for rank, side, vid in zip(count(1), sides, ids)
                          if side == "L" and not right[vid])
         raise RepresentationError(f"missing RIGHT endpoint for vertex {vid}", rank)
-    if top > half:
-        # half vertices, each with its L first: the first token past half is an L
-        rank, vid = next((rank, vid) for rank, vid in enumerate(ids, start=1) if vid > half)
+    if not in_range:
+        # half vertices, each with its L first: the first id out of range is an L's
+        rank, vid = next((rank, vid) for rank, vid in enumerate(ids, start=1)
+                         if not 1 <= vid <= half)
         raise RepresentationError(f"vertex ids must cover 1..{half}, found {vid}", rank)
     return left, right
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import tokenslide
+from tokenslide import generate, graphs
 from tokenslide.cli import main
 from tokenslide.instances import MAX_N
 from tokenslide.graphs import Graph
@@ -226,9 +227,9 @@ class TestVerify:
         seq = write(tmp_path, "seq.txt", f"MOVES 2\n{deepest} {deepest - depth}\n{deepest - depth} {extra}\n")
 
         def refuse(*args, **kwargs):
-            raise AssertionError("verify built intersection edges")
+            raise AssertionError("verify built a graph")
 
-        monkeypatch.setattr(IntervalRepresentation, "intersection_edges", refuse)
+        monkeypatch.setattr(graphs, "_interval_adjacency", refuse)
         monkeypatch.setattr(Graph, "__init__", refuse)
         code, out, _ = run(capsys, "verify", "--in", inst, "--seq", seq)
         assert (code, out) == (0, "OK\n")
@@ -437,6 +438,22 @@ class TestGen:
         )
         assert (code, out) == (2, "")
         assert err == f"ERROR INFEASIBLE: n={MAX_N + 1} exceeds the limit of {MAX_N}\n"
+        assert not dest.exists()
+
+    def test_k_above_n_exits_2_at_once(self, tmp_path, capsys, monkeypatch):
+        # no retry of a class generator could find the tokens, so none runs
+        def unreachable(*args):
+            raise AssertionError("ran a generator for an infeasible k")
+
+        for cls in ("proper", "tp", "caterpillar"):
+            monkeypatch.setitem(generate._GENERATORS, cls, unreachable)
+        dest = tmp_path / "inst.txt"
+        code, out, err = run(
+            capsys, "gen", "--class", "proper", "--n", "10000", "--k", "10001",
+            "--out", str(dest),
+        )
+        assert (code, out) == (2, "")
+        assert err == "ERROR INFEASIBLE: k=10001 exceeds n=10000\n"
         assert not dest.exists()
 
     def test_infeasible_exits_2(self, capsys):

@@ -1,5 +1,6 @@
 """Solver-versus-search sweep harness."""
 
+import gc
 import importlib
 
 from tokenslide.crosscheck import CrosscheckReport, Mismatch, crosscheck
@@ -193,6 +194,30 @@ class TestHarnessSelfTest:
         assert {m.solver for m in report.mismatches} == {"CRASH:RuntimeError"}
         notes = {m.note for m in report.mismatches}
         assert notes == {"boom at test_crosscheck.py in fails_on_one_graph"}
+
+    def test_crashes_leave_no_reference_cycle(self, monkeypatch):
+        # an exception kept by the sweep would hold, through its traceback,
+        # the sweep's frame with its search space and graph
+        cc = importlib.import_module("tokenslide.crosscheck")
+
+        def crashes(structure, *args):
+            raise RuntimeError("boom")
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            report = crosscheck("proper", 3, solver=crashes)
+            assert gc.collect() == 0
+            monkeypatch.setattr(cc, "prepare_tp", crashes)
+            prepare_report = crosscheck("tp", 3)
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
+        for r in (report, prepare_report):
+            assert r.checked == len(r.mismatches) > 0
+            assert {m.note for m in r.mismatches} == {"boom at test_crosscheck.py in crashes"}
 
     def test_mismatch_lines_carry_a_replayable_instance(self):
         report = crosscheck(

@@ -91,6 +91,34 @@ def test_n_above_the_parse_limit_rejected_before_generating(cls, monkeypatch):
         gen_instance(cls, MAX_N, 1, seed=0)
 
 
+@pytest.mark.parametrize("cls", ["proper", "tp", "caterpillar"])
+def test_k_above_n_rejected_before_generating(cls, monkeypatch):
+    # no graph on n vertices has k > n independent ones, so no retry runs
+    def unreachable(*args):
+        raise AssertionError("generated for an infeasible k")
+
+    monkeypatch.setitem(generate._GENERATORS, cls, unreachable)
+    with pytest.raises(GenerationError, match="INFEASIBLE: k=10001 exceeds n=10000"):
+        gen_instance(cls, 10_000, 10_001, seed=0)
+    with pytest.raises(AssertionError, match="generated for"):
+        gen_instance(cls, 10_000, 10_000, seed=0)
+
+
+@pytest.mark.parametrize("cls", ["proper", "caterpillar"])
+def test_generated_graph_is_handed_over(cls, monkeypatch):
+    # the generator samples the tokens on the graph, and the instance keeps it
+    inst = gen_instance(cls, 500, 20, seed=4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a second graph")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Graph, "__init__", refuse)
+        g = inst.graph
+    fresh = Graph.from_representation(inst.rep) if cls == "proper" else Graph(inst.n, inst.edge_list)
+    assert (g.n, g.adj) == (fresh.n, fresh.adj)
+
+
 # -- exhaustive enumerations -------------------------------------------------
 
 def test_proper_enumeration_counts():

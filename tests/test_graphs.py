@@ -4,6 +4,7 @@ import random
 import tracemalloc
 
 import pytest
+from walks import intersection_edges, nesting
 
 from tokenslide.caterpillar import prepare_caterpillar, solve_caterpillar
 from tokenslide.generate import (
@@ -17,7 +18,12 @@ from tokenslide.graphs import (
     find_strong_twins,
     validate_sequence,
 )
-from tokenslide.intervals import GraphClass, IntervalRepresentation, parse_representation
+from tokenslide.intervals import (
+    GraphClass,
+    IntervalRepresentation,
+    RepresentationError,
+    parse_representation,
+)
 from tokenslide.results import SolverInputError
 
 
@@ -70,13 +76,50 @@ def test_edges_and_m_derive_from_adjacency():
     reps += list(enumerate_proper_representations(6)) + list(enumerate_tp_representations(6))
     for rep in reps:
         g = Graph.from_representation(rep)
-        assert list(g.edges()) == sorted(set(rep.intersection_edges()))
+        assert list(g.edges()) == sorted(set(intersection_edges(rep)))
         assert g.m == len(g.edges())
 
 
+def test_from_representation_matches_the_edge_sweep():
+    rng = random.Random(21)
+    reps = [random_representation(rng.randint(1, 40), rng) for _ in range(300)]
+    reps += [gen_instance(cls, n, 1, seed=seed).rep
+             for cls in ("proper", "tp") for n in (3, 50, 400) for seed in range(5)]
+    for n in range(1, 8):
+        reps += [*enumerate_proper_representations(n), *enumerate_tp_representations(n)]
+    reps.append(nesting(300))
+    for rep in reps:
+        assert Graph.from_representation(rep).adj == Graph(rep.n, intersection_edges(rep)).adj
+
+
+@pytest.mark.parametrize("word", [
+    "L1 L1 R1 R1",  # a second L while open
+    "L1 R1 L1 R1",  # an id used twice
+    "R1 L1",  # an R before its L
+    "L1 L2 R2 R2 R1 L3",  # a second R
+    "L1 L2 R1",  # an L never closed
+    "L1 L3 R1 R3",  # an id above n
+    "L0 L1 R0 R1",  # an id below 1
+    "L-1 L2 R2 R-1",  # a negative id, which would index from the end
+])
+def test_malformed_word_built_in_code_rejected(word):
+    events = tuple((tok[0], int(tok[1:])) for tok in word.split())
+    with pytest.raises(RepresentationError) as expected:
+        IntervalRepresentation(events).left_rank
+    with pytest.raises(RepresentationError) as got:
+        Graph.from_representation(IntervalRepresentation(events))
+    assert (str(got.value), got.value.position) == (str(expected.value), expected.value.position)
+
+
+def test_representation_of_another_size_rejected():
+    with pytest.raises(ValueError, match="n=3 but the representation has 2 intervals"):
+        Graph(3, parse_representation("L1 L2 R1 R2"))
+
+
 def test_from_representation_holds_no_edge_list():
-    # the adjacency alone takes about 49 bytes per edge here; a sorted
-    # edge tuple and a dedupe set beside it took 216
+    # the adjacency and the open intervals' lists take about 29 bytes per
+    # edge here; building every edge tuple and deduping each vertex's list
+    # took 49, and a sorted edge tuple with a dedupe set beside it 216
     rep = gen_instance("tp", 2000, 3, seed=0).rep
     assert rep.n == 2000
     tracemalloc.start()
@@ -86,7 +129,7 @@ def test_from_representation_holds_no_edge_list():
     finally:
         tracemalloc.stop()
     assert g.m == 16_215
-    assert peak <= 100 * g.m, peak / g.m
+    assert peak <= 36 * g.m, peak / g.m
 
 
 def test_self_loop_rejected():

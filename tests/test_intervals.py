@@ -4,6 +4,7 @@ import random
 import time
 
 import pytest
+from walks import intersection_edges
 
 from tokenslide.generate import (
     enumerate_proper_representations,
@@ -171,15 +172,15 @@ def test_component_segments_connected():
 
 
 def test_intersection_edges_k3():
-    assert sorted(parse_representation(K3).intersection_edges()) == [(1, 2), (1, 3), (2, 3)]
+    assert sorted(intersection_edges(parse_representation(K3))) == [(1, 2), (1, 3), (2, 3)]
 
 
 def test_intersection_edges_p3():
-    assert sorted(parse_representation(P3).intersection_edges()) == [(1, 2), (2, 3)]
+    assert sorted(intersection_edges(parse_representation(P3))) == [(1, 2), (2, 3)]
 
 
 def test_intersection_edges_disjoint():
-    assert list(parse_representation("L1 R1 L2 R2").intersection_edges()) == []
+    assert list(intersection_edges(parse_representation("L1 R1 L2 R2"))) == []
 
 
 def test_touching_endpoints_intersect():
@@ -187,4 +188,4 @@ def test_touching_endpoints_intersect():
     # but shared membership inside 1..2n ranks is what matters: build a
     # chain where 2 opens exactly when 1 is still open
     rep = parse_representation("L1 L2 R1 R2")
-    assert sorted(rep.intersection_edges()) == [(1, 2)]
+    assert sorted(intersection_edges(rep)) == [(1, 2)]

@@ -1,5 +1,6 @@
-"""Random-walk token sets, long-route caterpillar shapes and a deep
-trivially perfect nesting shared by the test modules."""
+"""Random-walk token sets, long-route caterpillar shapes, a deep
+trivially perfect nesting and a reference edge sweep of an endpoint
+word, shared by the test modules."""
 
 from tokenslide.graphs import Graph
 from tokenslide.intervals import IntervalRepresentation
@@ -52,3 +53,17 @@ def nesting(depth):
     events += [("L", extra), ("R", extra)]
     events += [("R", i) for i in range(depth, 0, -1)]
     return IntervalRepresentation(tuple(events))
+
+
+def intersection_edges(rep):
+    """Edges of the intersection graph of ``rep``, each once as (smaller
+    id, larger id), by a left-to-right sweep that pairs every interval
+    with the intervals open when it opens: the reference that
+    ``Graph.from_representation`` is checked against."""
+    active = set()
+    for side, vid in rep.events:
+        if side == "L":
+            yield from ((other, vid) if other < vid else (vid, other) for other in active)
+            active.add(vid)
+        else:
+            active.discard(vid)
