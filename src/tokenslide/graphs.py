@@ -120,14 +120,15 @@ def _interval_adjacency(rep: IntervalRepresentation) -> tuple[tuple[int, ...], .
             if side == "L":
                 pending[v] = (len(opened), list(pending))
                 opened.append(v)
-            else:
+            elif side == "R":
                 at, near = pending.pop(v)
                 near += opened[at + 1:]
                 near.sort()
                 adj[v] = tuple(near)
     except (KeyError, IndexError):  # an R with no open L, or an id above n
         return None
-    # every R closed an open L: the word pairs up iff the Ls are 1..n once each
+    # every R closed an open L, and any other side was skipped: the word
+    # pairs up iff the Ls are 1..n once each
     if pending or sorted(opened) != list(range(1, n + 1)):
         return None
     return tuple(adj)
@@ -211,8 +212,8 @@ def _replay_adjacency(g: Graph, occupied: set[int], seq) -> tuple[int, str | Non
 def _replay_ranks(
     rep: IntervalRepresentation, occupied: set[int], seq
 ) -> tuple[int, str | None]:
-    """``_replay_adjacency`` with edges from the rank lists of ``rep``,
-    at one bisect a move.
+    """``_replay_adjacency`` with edges from the rank lists of ``rep``:
+    O(n + k log k) set-up for k tokens, then O(1) per move.
 
     Two intervals meet iff each one's left rank lies before the other's
     right rank.  Occupied intervals are pairwise disjoint, so sorting them
@@ -220,27 +221,30 @@ def _replay_ranks(
     token on src and no other token takes src's place in that order, and
     one that meets a further token meets src's neighbour in the order on
     that side, so a slide compares against those two neighbours only.
+    ``slot`` maps each token to its place, with ranks 0 and 2n + 1 at both
+    ends; dst is looked up first, so a move (v, v) is TARGET_OCCUPIED.
     """
     n, left, right = rep.n, rep.left_rank, rep.right_rank
-    spans = sorted((left[v], right[v]) for v in occupied)
-    lefts = [lo for lo, _ in spans]
-    rights = [hi for _, hi in spans]
-    last = len(lefts) - 1
+    order = sorted(occupied, key=left.__getitem__)
+    slot = {v: at for at, v in enumerate(order, start=1)}
+    lefts = [0, *map(left.__getitem__, order), 2 * n + 1]
+    rights = [0, *map(right.__getitem__, order), 2 * n + 1]
     step = 0
     for step, (src, dst) in enumerate(seq, start=1):
-        if src not in occupied or dst in occupied:
-            return step, "SOURCE_NOT_OCCUPIED" if src not in occupied else "TARGET_OCCUPIED"
+        if src not in slot or dst in slot:
+            return step, "SOURCE_NOT_OCCUPIED" if src not in slot else "TARGET_OCCUPIED"
         # src holds a token, so it is in range; dst comes straight
         # from a move and is range-checked before it indexes the ranks
         if not (1 <= dst <= n and left[src] < right[dst] and left[dst] < right[src]):
             return step, "NOT_AN_EDGE"
         lo, hi = left[dst], right[dst]
-        at = bisect_left(lefts, left[src])
-        if at > 0 and rights[at - 1] > lo or at < last and lefts[at + 1] < hi:
+        at = slot.pop(src)
+        if rights[at - 1] > lo or lefts[at + 1] < hi:
             return step, "NOT_INDEPENDENT"
         lefts[at], rights[at] = lo, hi
-        occupied.discard(src)
-        occupied.add(dst)
+        slot[dst] = at
+    occupied.clear()
+    occupied.update(slot)
     return step, None
 
 
@@ -263,9 +267,8 @@ def validate_sequence(
 
     ``g`` is a Graph or an IntervalRepresentation.  A representation is
     checked without building any edge: O(n + k log k) set-up for k
-    tokens, then one bisect per move, since two intervals meet iff their
-    rank ranges overlap.  Both inputs give the same verdicts, each
-    replayed in one loop.
+    tokens, then O(1) per move, as two intervals meet iff their rank
+    ranges overlap.  Both give the same verdicts, each in one loop.
     """
     blue, red = tuple(blue), tuple(red)
     blue_set, red_set = set(blue), set(red)

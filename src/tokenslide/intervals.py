@@ -45,9 +45,13 @@ class IntervalRepresentation:
     @cached_property
     def _ranks(self) -> tuple[list[int], list[int]]:
         """1-based rank of each vertex's "L" and "R" endpoint, indexed by
-        vertex id.  ``parse_representation`` leaves them here; a
-        representation built in code gets them from the same check."""
-        return _endpoint_ranks("".join(map(_side, self.events)), list(map(_vid, self.events)))
+        vertex id.  ``parse_representation`` leaves them here; one built in
+        code gets them from the same check, once its sides are all L or R."""
+        sides = "".join(map(_side, self.events))
+        if len(sides) != len(self.events) or sides.strip("LR"):
+            pos = next(i for i, (s, _) in enumerate(self.events, 1) if s not in ("L", "R"))
+            raise RepresentationError(f"side {self.events[pos - 1][0]!r} is not L or R", pos)
+        return _endpoint_ranks(sides, list(map(_vid, self.events)))
 
     @property
     def left_rank(self) -> list[int]:

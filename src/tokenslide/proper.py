@@ -45,14 +45,17 @@ def _walk(pos, hi, lo, order, frm: int, to: int) -> tuple[int, ...]:
     """Shortest vertex path between two vertices of one component, empty
     when they match.  Each hop jumps to the farthest neighbor toward the
     target, which is optimal because neighborhoods are consecutive in
-    canonical order."""
+    canonical order; the last hop is clamped to the target.  O(1) a move."""
     if frm == to:
         return ()
-    path = [frm]
-    cur, tgt = pos[frm], pos[to]
-    while cur != tgt:
-        cur = min(hi[cur], tgt) if tgt > cur else max(lo[cur], tgt)
-        path.append(order[cur - 1])
+    path, cur, tgt = [frm], pos[frm], pos[to]
+    if cur < tgt:
+        while (cur := hi[cur]) < tgt:
+            path.append(order[cur - 1])
+    else:
+        while (cur := lo[cur]) > tgt:
+            path.append(order[cur - 1])
+    path.append(to)
     return tuple(path)
 
 

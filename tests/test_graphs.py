@@ -11,6 +11,7 @@ from tokenslide.generate import (
     enumerate_proper_representations,
     enumerate_tp_representations,
     gen_instance,
+    quadratic_path_instance,
 )
 from tokenslide.graphs import (
     Graph,
@@ -24,6 +25,7 @@ from tokenslide.intervals import (
     RepresentationError,
     parse_representation,
 )
+from tokenslide.proper import solve_proper
 from tokenslide.results import SolverInputError
 
 
@@ -109,6 +111,17 @@ def test_malformed_word_built_in_code_rejected(word):
     with pytest.raises(RepresentationError) as got:
         Graph.from_representation(IntervalRepresentation(events))
     assert (str(got.value), got.value.position) == (str(expected.value), expected.value.position)
+
+
+@pytest.mark.parametrize("events, position", [
+    ((("LR", 1), ("R", 1)), 1),  # two sides in one token
+    ((("L", 1), ("X", 1)), 2),  # a side that is neither
+])
+def test_side_other_than_l_or_r_rejected(events, position):
+    for build in (lambda rep: rep.left_rank, Graph.from_representation):
+        with pytest.raises(RepresentationError, match="is not L or R") as got:
+            build(IntervalRepresentation(events))
+        assert got.value.position == position
 
 
 def test_representation_of_another_size_rejected():
@@ -375,6 +388,112 @@ def test_long_adjacency_verdicts():
     for blue, red, seq, expected in cases:
         for structure in (g, rep):
             assert validate_sequence(structure, blue, red, seq) == expected, (structure, blue, seq)
+
+
+def long_walk(g, k, rng):
+    """Up to k independent tokens and a legal slide walk of at least 200
+    moves from them, or None when the draw gets stuck."""
+    blue = set()
+    for v in rng.sample(range(1, g.n + 1), g.n):
+        if len(blue) < k and blue.isdisjoint(g.adj[v]):
+            blue.add(v)
+    moves, _ = random_slides(g, blue, 400, rng)
+    return (blue, moves) if len(moves) >= 200 else None
+
+
+def corruptions(g, occupied, rng):
+    """(bad move, rule it breaks) for the tokens on ``occupied``: a move
+    (v, v) from a token and from a free vertex, targets off the vertex
+    range, a non-edge and a target that touches a further token."""
+    n, tokens = g.n, sorted(occupied)
+    v = rng.choice(tokens)
+    free = [w for w in range(1, n + 1) if w not in occupied]
+    yield (v, v), "TARGET_OCCUPIED"
+    yield (rng.choice(free),) * 2, "SOURCE_NOT_OCCUPIED"
+    for target in (0, -1, n + 1):
+        yield (v, target), "NOT_AN_EDGE"
+    far = [w for w in free if w not in g.adj[v]]
+    if far:
+        yield (v, rng.choice(far)), "NOT_AN_EDGE"
+    touching = [(u, w) for u in tokens for w in g.adj[u] if w not in occupied
+                and any(x != u and x in occupied for x in g.adj[w])]
+    if touching:
+        yield rng.choice(touching), "NOT_INDEPENDENT"
+
+
+def test_long_walk_verdicts_match_the_graph_replay():
+    """Seeded legal walks of at least 200 moves with up to 10 tokens on
+    40 to 200 intervals, each corrupted at a step past 100: the rank
+    replay gives the Graph replay's verdict at the corrupted step."""
+    rng = random.Random(23)
+    reps = []
+    for seed in range(8):
+        n = rng.randint(40, 200)
+        reps += [random_general_representation(n, rng),
+                 gen_instance("proper", n, 1, seed=seed).rep,
+                 gen_instance("tp", n, 1, seed=seed).rep]
+    seen, walks = set(), 0
+    for rep in reps:
+        g = Graph.from_representation(rep)
+        for _ in range(3):
+            drawn = long_walk(g, rng.randint(2, 10), rng)
+            if drawn is None:
+                continue
+            blue, moves = drawn
+            walks += 1
+            final = set(blue)
+            for src, dst in moves:
+                final.remove(src)
+                final.add(dst)
+            assert validate_sequence(rep, blue, final, moves) == ValidationResult(True)
+            at = rng.randint(100, len(moves))
+            occupied = set(blue)
+            for src, dst in moves[:at]:
+                occupied.remove(src)
+                occupied.add(dst)
+            for bad, reason in corruptions(g, occupied, rng):
+                seq = moves[:at] + [bad] + moves[at:]
+                expected = ValidationResult(False, at + 1, reason)
+                assert validate_sequence(g, blue, final, seq) == expected, (rep.serialize(), bad)
+                assert validate_sequence(rep, blue, final, iter(seq)) == expected, (rep.serialize(), bad)
+                seen.add((bad[0] == bad[1], reason))
+    assert walks >= 40, walks
+    assert seen == {
+        (True, "TARGET_OCCUPIED"),
+        (True, "SOURCE_NOT_OCCUPIED"),
+        (False, "NOT_AN_EDGE"),
+        (False, "NOT_INDEPENDENT"),
+    }
+
+
+def test_move_onto_its_own_token_is_target_occupied():
+    """A move (v, v) from a token is TARGET_OCCUPIED for both replays,
+    also from a slot another token has moved into."""
+    rep = parse_representation("L1 L2 R1 L3 R2 L4 R3 L5 R4 L6 R5 L7 R6 R7")
+    cases = [
+        ({1, 4}, [(1, 1)], 1),
+        ({1, 4}, [(4, 4)], 1),
+        ({1, 4}, [(1, 2), (2, 2)], 2),
+        ({1, 4}, [(4, 5), (1, 2), (5, 5)], 3),
+    ]
+    for blue, seq, step in cases:
+        for structure in (rep, Graph.from_representation(rep)):
+            res = validate_sequence(structure, blue, blue, seq)
+            assert res == ValidationResult(False, step, "TARGET_OCCUPIED"), (structure, seq)
+
+
+def test_rank_replay_does_not_bisect(monkeypatch):
+    """A representation is replayed without a bisect per move."""
+    def refuse(*args):
+        raise AssertionError("bisect_left called")
+
+    monkeypatch.setattr("tokenslide.graphs.bisect_left", refuse)
+    for inst in (quadratic_path_instance(10), gen_instance("proper", 200, 10, seed=3)):
+        res = solve_proper(inst.rep, inst.blue, inst.red)
+        assert res.yes and res.move_count > 20
+        assert validate_sequence(inst.rep, inst.blue, inst.red, res.moves).ok
+    with pytest.raises(AssertionError, match="bisect_left called"):
+        validate_sequence(Graph.from_representation(inst.rep), inst.blue, inst.red, res.moves)
 
 
 @pytest.mark.parametrize("target", [0, -1, 9])

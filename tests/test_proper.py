@@ -8,7 +8,12 @@ string, block and block-order classes check the shared block layer
 by canonical position, with boundaries linked inside one component.
 """
 
+import random
+
 import pytest
+from walks import reference_walk
+
+from tokenslide import proper
 
 from tokenslide.generate import (
     enumerate_independent_sets,
@@ -21,7 +26,7 @@ from tokenslide.blocks import BLUE, RED, block_order, boundary_edges, split_bloc
 from tokenslide.graphs import Graph, find_strong_twins, validate_sequence
 from tokenslide.intervals import GraphClass, IntervalRepresentation, parse_representation
 from tokenslide.oracle import SlideSpace, bfs
-from tokenslide.proper import prepare_proper, solve_proper
+from tokenslide.proper import _walk, prepare_proper, solve_proper
 from tokenslide.results import SolverInputError
 
 # Path on 36 vertices with nine tokens per side, chosen so the colored
@@ -396,6 +401,42 @@ def _joined(a: IntervalRepresentation, b: IntervalRepresentation):
     """``a`` and ``b`` side by side, ``b``'s ids shifted past ``a``'s."""
     shifted = tuple((side, v + a.n) for side, v in b.events)
     return IntervalRepresentation(a.events + shifted)
+
+
+class TestWalk:
+    """``_walk`` gives the reference walk's path on every ordered pair of
+    vertices in one component."""
+
+    @staticmethod
+    def check_every_pair(p):
+        pairs = 0
+        for segment in p.segments:
+            for frm in segment:
+                for to in segment:
+                    got = _walk(p.pos, p.hi, p.lo, p.order, frm, to)
+                    assert got == reference_walk(p.pos, p.hi, p.lo, p.order, frm, to), (frm, to)
+                    pairs += 1
+        return pairs
+
+    def test_every_small_proper_representation(self, monkeypatch):
+        # the walk needs no twin-free graph, so twins are let through
+        monkeypatch.setattr(proper, "_strong_twin_pairs", lambda *bounds: ())
+        parts = [rep for n in range(1, 8) for rep in enumerate_proper_representations(n)]
+        reps = parts + [_joined(a, b) for a in parts for b in parts if a.n + b.n <= 7]
+        assert sum(self.check_every_pair(prepare_proper(rep)) for rep in reps) > 10_000
+
+    def test_seeded_instance_with_several_components(self):
+        rng = random.Random(2000)
+        sizes = []
+        while 2000 - sum(sizes) > 150:
+            sizes.append(rng.randint(30, 120))
+        sizes.append(2000 - sum(sizes))
+        rep = IntervalRepresentation(())
+        for seed, size in enumerate(sizes):
+            rep = _joined(rep, gen_instance("proper", size, 1, seed=seed).rep)
+        p = prepare_proper(rep)
+        assert p.rep.n == 2000 and len(p.segments) == len(sizes) > 10
+        assert self.check_every_pair(p) == sum(size * size for size in sizes)
 
 
 class TestForests:

@@ -1,6 +1,6 @@
 """Random-walk token sets, long-route caterpillar shapes, a deep
-trivially perfect nesting and a reference edge sweep of an endpoint
-word, shared by the test modules."""
+trivially perfect nesting, a reference edge sweep of an endpoint word
+and a reference proper-interval walk, shared by the test modules."""
 
 from tokenslide.graphs import Graph
 from tokenslide.intervals import IntervalRepresentation
@@ -67,3 +67,18 @@ def intersection_edges(rep):
             active.add(vid)
         else:
             active.discard(vid)
+
+
+def reference_walk(pos, hi, lo, order, frm, to):
+    """The proper solver's shortest path between two vertices of one
+    component, as first written: each hop clamps the farthest neighbor
+    toward the target with ``min`` or ``max``.  The reference that
+    ``proper._walk`` is checked against."""
+    if frm == to:
+        return ()
+    path = [frm]
+    cur, tgt = pos[frm], pos[to]
+    while cur != tgt:
+        cur = min(hi[cur], tgt) if tgt > cur else max(lo[cur], tgt)
+        path.append(order[cur - 1])
+    return tuple(path)
