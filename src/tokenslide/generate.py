@@ -4,6 +4,7 @@ exhaustive enumerations of small instances."""
 from __future__ import annotations
 
 import random
+from array import array
 from functools import cache
 from itertools import chain, combinations, combinations_with_replacement, count, product
 from typing import Iterator
@@ -18,13 +19,13 @@ class GenerationError(ValueError):
 
 
 def path_representation(n: int) -> IntervalRepresentation:
-    """Unit-interval chain whose intersection graph is the path 1-2-...-n."""
-    events: list[tuple[str, int]] = [("L", 1)]
-    for i in range(2, n + 1):
-        events.append(("L", i))
-        events.append(("R", i - 1))
-    events.append(("R", n))
-    return IntervalRepresentation(tuple(events))
+    """Unit-interval chain whose intersection graph is the path 1-2-...-n:
+    L1, then L(i) R(i-1) for i = 2..n, then Rn."""
+    if n < 1:
+        raise ValueError(f"a path needs n >= 1, got {n}")
+    middle = chain.from_iterable(zip(range(2, n + 1), range(1, n)))
+    return IntervalRepresentation.from_word(
+        "L" + "LR" * (n - 1) + "R", array("i", chain((1,), middle, (n,))))
 
 
 def quadratic_path_instance(k: int) -> Instance:
@@ -33,6 +34,8 @@ def quadratic_path_instance(k: int) -> Instance:
     Blue sits on v1, v3, ..., v_{2k-1}; red on v_{6k+2}, v_{6k+4}, ...,
     v_{8k}.  The shortest schedule needs exactly k*(6k+1) moves.
     """
+    if k < 1:
+        raise GenerationError(f"INFEASIBLE: need k >= 1, got {k}")
     n = 8 * k
     blue = tuple(range(1, 2 * k, 2))
     red = tuple(range(6 * k + 2, 8 * k + 1, 2))
@@ -73,15 +76,15 @@ def _proper_word_attempt(n: int, rng: random.Random, p_open: float, width: int):
     therefore earmarks one future L as its separator, so an L that
     would create a pair is allowed only while enough spare Ls remain;
     with that budget enforced the walk cannot die for n >= 3.  Returns
-    None on a dead end (only possible for n <= 2).
+    the representation, or None on a dead end (only possible for n <= 2).
     """
-    events: list[tuple[str, int]] = [("L", 1)]
+    sides, ids = ["L"], array("i", [1])
     next_id, close_id = 2, 1
     hazard: dict[int, bool] = {}
     pending = 0
     r_since_l = False
     must_open = False
-    while len(events) < 2 * n:
+    while len(ids) < 2 * n:
         lefts_left = n - next_id + 1
         open_count = next_id - close_id
         after = pending + (0 if r_since_l else 1) - (1 if must_open else 0)
@@ -96,16 +99,18 @@ def _proper_word_attempt(n: int, rng: random.Random, p_open: float, width: int):
             if must_open:
                 must_open = False
                 pending -= 1
-            events.append(("L", next_id))
+            sides.append("L")
+            ids.append(next_id)
             next_id += 1
             r_since_l = False
         else:
-            events.append(("R", close_id))
+            sides.append("R")
+            ids.append(close_id)
             if hazard.get(close_id):
                 must_open = True
             close_id += 1
             r_since_l = True
-    return tuple(events)
+    return IntervalRepresentation.from_word("".join(sides), ids)
 
 
 def _random_proper_representation(n: int, rng: random.Random) -> IntervalRepresentation:
@@ -117,9 +122,9 @@ def _random_proper_representation(n: int, rng: random.Random) -> IntervalReprese
         )
     for _ in range(200):
         width = min(n - 1, rng.randint(3, 12))
-        events = _proper_word_attempt(n, rng, rng.uniform(0.35, 0.5), width)
-        if events is not None:
-            return IntervalRepresentation(events)
+        rep = _proper_word_attempt(n, rng, rng.uniform(0.35, 0.5), width)
+        if rep is not None:
+            return rep
     raise GenerationError("INFEASIBLE: could not build a twin-free connected word")
 
 
@@ -172,18 +177,18 @@ def _random_containment_tree(n: int, rng: random.Random) -> list[list[int]]:
 
 
 def _tree_to_representation(children: list[list[int]]) -> IntervalRepresentation:
-    events: list[tuple[str, int]] = []
+    sides: list[str] = []
+    ids = array("i")
     stack: list[tuple[int, bool]] = [(1, False)]
     while stack:
         node, done = stack.pop()
-        if done:
-            events.append(("R", node))
-        else:
-            events.append(("L", node))
+        sides.append("R" if done else "L")
+        ids.append(node)
+        if not done:
             stack.append((node, True))
             for child in reversed(children[node]):
                 stack.append((child, False))
-    return IntervalRepresentation(tuple(events))
+    return IntervalRepresentation.from_word("".join(sides), ids)
 
 
 def _random_antichain(
@@ -192,7 +197,7 @@ def _random_antichain(
     n = rep.n
     # local ranks: a generated representation caches none until a solver asks
     left, right = [0] * (n + 1), [0] * (n + 1)
-    for rank, (side, vid) in enumerate(rep.events, start=1):
+    for rank, side, vid in zip(count(1), rep.sides, rep.ids):
         (left if side == "L" else right)[vid] = rank
     for _ in range(400):
         picks: list[int] = []
@@ -270,24 +275,20 @@ def gen_instance(cls: str, n: int, k: int, seed: int = 0) -> Instance:
 # -- exhaustive enumerations -------------------------------------------------
 
 def _proper_walk(
-    n: int, events: list[tuple[str, int]], lefts: int, rights: int
+    n: int, sides: str, ids: tuple[int, ...], lefts: int, rights: int
 ) -> Iterator[IntervalRepresentation]:
-    """Every completion of ``events``, which has opened ``lefts`` and
-    closed ``rights`` intervals, trying an L before an R.  Intervals close
-    in the order they open, so the next R closes interval ``rights + 1``;
-    it may come while another interval stays open, or once every L is
-    placed."""
+    """Every completion of the word ``sides`` and ``ids``, which has
+    opened ``lefts`` and closed ``rights`` intervals, trying an L before
+    an R.  Intervals close in the order they open, so the next R closes
+    interval ``rights + 1``; it may come while another interval stays
+    open, or once every L is placed."""
     if rights == n:
-        yield IntervalRepresentation(tuple(events))
+        yield IntervalRepresentation.from_word(sides, array("i", ids))
         return
     if lefts < n:
-        events.append(("L", lefts + 1))
-        yield from _proper_walk(n, events, lefts + 1, rights)
-        events.pop()
+        yield from _proper_walk(n, sides + "L", (*ids, lefts + 1), lefts + 1, rights)
     if lefts - rights >= 2 or lefts == n:
-        events.append(("R", rights + 1))
-        yield from _proper_walk(n, events, lefts, rights + 1)
-        events.pop()
+        yield from _proper_walk(n, sides + "R", (*ids, rights + 1), lefts, rights + 1)
 
 
 def enumerate_proper_representations(n: int) -> Iterator[IntervalRepresentation]:
@@ -297,7 +298,7 @@ def enumerate_proper_representations(n: int) -> Iterator[IntervalRepresentation]
     forces right endpoints to close in the same order, so each valid
     L/R pattern yields exactly one representation.
     """
-    yield from _proper_walk(n, [], 0, 0)
+    yield from _proper_walk(n, "", (), 0, 0)
 
 
 def _partitions(remaining: int, max_part: int) -> Iterator[tuple[int, ...]]:
@@ -331,23 +332,26 @@ def _tp_shapes(size: int) -> tuple[tuple, ...]:
     return tuple(shapes)
 
 
-def _nesting_events(shape: tuple, ids: Iterator[int], events: list[tuple[str, int]]) -> None:
-    """Append the events of ``shape`` to ``events``, its intervals
-    numbered in preorder from ``ids``."""
-    vid = next(ids)
-    events.append(("L", vid))
+def _nesting_events(shape: tuple, numbers: Iterator[int], sides: list[str], ids: array) -> None:
+    """Append the endpoints of ``shape`` to the word ``sides`` and
+    ``ids``, its intervals numbered in preorder from ``numbers``."""
+    vid = next(numbers)
+    sides.append("L")
+    ids.append(vid)
     for child in shape:
-        _nesting_events(child, ids, events)
-    events.append(("R", vid))
+        _nesting_events(child, numbers, sides, ids)
+    sides.append("R")
+    ids.append(vid)
 
 
 def enumerate_tp_representations(n: int) -> Iterator[IntervalRepresentation]:
     """All connected twin-free nestings with n intervals, one per
     isomorphism class, vertex ids in preorder."""
     for shape in _tp_shapes(n):
-        events: list[tuple[str, int]] = []
-        _nesting_events(shape, count(1), events)
-        yield IntervalRepresentation(tuple(events))
+        sides: list[str] = []
+        ids = array("i")
+        _nesting_events(shape, count(1), sides, ids)
+        yield IntervalRepresentation.from_word("".join(sides), ids)
 
 
 def _leaf_counts(total: int, slots: int, lo: int = 1) -> Iterator[tuple[int, ...]]:

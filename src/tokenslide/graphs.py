@@ -7,7 +7,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .intervals import IntervalRepresentation, RepresentationError
+from .intervals import IntervalRepresentation
 
 
 class Graph:
@@ -27,10 +27,6 @@ class Graph:
             if n != edges.n:
                 raise ValueError(f"n={n} but the representation has {edges.n} intervals")
             adj = _interval_adjacency(edges)
-            if adj is None:
-                # the pairing check names the first token that breaks the word
-                edges.left_rank
-                raise RepresentationError("endpoints do not pair up", 1)
         else:
             lists: list[list[int]] = [[] for _ in range(n + 1)]
             for u, v in edges:
@@ -101,9 +97,9 @@ class Graph:
         return self.bfs_distances(u)[v]
 
 
-def _interval_adjacency(rep: IntervalRepresentation) -> tuple[tuple[int, ...], ...] | None:
+def _interval_adjacency(rep: IntervalRepresentation) -> tuple[tuple[int, ...], ...]:
     """Sorted adjacency of the intersection graph in one pass over the
-    endpoint word, or None for a malformed word.
+    endpoint word.
 
     An interval meets exactly the intervals open when it opens and those
     that open before it closes.  So each open interval holds the list of
@@ -111,26 +107,18 @@ def _interval_adjacency(rep: IntervalRepresentation) -> tuple[tuple[int, ...], .
     the slice of the left order opened since, sorted: no edge is listed,
     and a list lives only while its interval is open.
     """
-    n = rep.n
-    adj: list[tuple[int, ...]] = [()] * (n + 1)
+    adj: list[tuple[int, ...]] = [()] * (rep.n + 1)
     opened: list[int] = []  # the left order so far
     pending: dict[int, tuple[int, list[int]]] = {}  # the open intervals, in left order
-    try:
-        for side, v in rep.events:
-            if side == "L":
-                pending[v] = (len(opened), list(pending))
-                opened.append(v)
-            elif side == "R":
-                at, near = pending.pop(v)
-                near += opened[at + 1:]
-                near.sort()
-                adj[v] = tuple(near)
-    except (KeyError, IndexError):  # an R with no open L, or an id above n
-        return None
-    # every R closed an open L, and any other side was skipped: the word
-    # pairs up iff the Ls are 1..n once each
-    if pending or sorted(opened) != list(range(1, n + 1)):
-        return None
+    for side, v in zip(rep.sides, rep.ids):
+        if side == "L":
+            pending[v] = (len(opened), list(pending))
+            opened.append(v)
+        else:
+            at, near = pending.pop(v)
+            near += opened[at + 1:]
+            near.sort()
+            adj[v] = tuple(near)
     return tuple(adj)
 
 

@@ -9,13 +9,13 @@ intersect iff neither ends before the other begins.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import count
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class GraphClass(Enum):
@@ -32,26 +32,58 @@ class RepresentationError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
 class IntervalRepresentation:
-    """An endpoint string, stored as a tuple of ("L"|"R", vertex id) events."""
+    """An endpoint string, held as its side letters in one str and its
+    vertex ids in one array('i'), 5 bytes an endpoint.
 
-    events: tuple[tuple[str, int], ...]
+    The constructor takes (side, id) pairs and raises RepresentationError
+    at the first one that breaks the pairing; ``from_word`` takes the two
+    parts of a word known to pair up, as the parser and the generators
+    build it.  ``events`` builds the pairs again on each call.
+    """
+
+    def __init__(self, events: Iterable[tuple[str, int]] = ()):
+        events = tuple(events)
+        sides = "".join(map(_side, events))
+        if len(sides) != len(events) or sides.strip("LR"):
+            pos = next(i for i, (s, _) in enumerate(events, 1) if s not in ("L", "R"))
+            raise RepresentationError(f"side {events[pos - 1][0]!r} is not L or R", pos)
+        ids = list(map(_vid, events))
+        self.__dict__["_ranks"] = _endpoint_ranks(sides, ids)
+        # every id is in 1..n now, so it fits a C int
+        self.sides, self.ids = sides, array("i", ids)
+
+    @classmethod
+    def from_word(cls, sides: str, ids: array) -> IntervalRepresentation:
+        rep = cls.__new__(cls)
+        rep.sides, rep.ids = sides, ids
+        return rep
+
+    def __eq__(self, other):
+        if not isinstance(other, IntervalRepresentation):
+            return NotImplemented
+        return self.sides == other.sides and self.ids == other.ids
+
+    def __hash__(self) -> int:
+        return hash((self.sides, self.ids.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"IntervalRepresentation({self.events!r})"
+
+    @property
+    def events(self) -> tuple[tuple[str, int], ...]:
+        return tuple(zip(self.sides, self.ids))
 
     @cached_property
     def n(self) -> int:
-        return len(self.events) // 2
+        return len(self.ids) // 2
 
     @cached_property
     def _ranks(self) -> tuple[list[int], list[int]]:
         """1-based rank of each vertex's "L" and "R" endpoint, indexed by
-        vertex id.  ``parse_representation`` leaves them here; one built in
-        code gets them from the same check, once its sides are all L or R."""
-        sides = "".join(map(_side, self.events))
-        if len(sides) != len(self.events) or sides.strip("LR"):
-            pos = next(i for i, (s, _) in enumerate(self.events, 1) if s not in ("L", "R"))
-            raise RepresentationError(f"side {self.events[pos - 1][0]!r} is not L or R", pos)
-        return _endpoint_ranks(sides, list(map(_vid, self.events)))
+        vertex id.  The parser and the constructor leave them here; a word
+        from ``from_word`` gets them from the same check on first use."""
+        return _endpoint_ranks(self.sides, self.ids)
 
     @property
     def left_rank(self) -> list[int]:
@@ -63,10 +95,10 @@ class IntervalRepresentation:
 
     def left_order(self) -> list[int]:
         """Vertex ids sorted by left endpoint rank."""
-        return [vid for side, vid in self.events if side == "L"]
+        return [vid for side, vid in zip(self.sides, self.ids) if side == "L"]
 
     def right_order(self) -> list[int]:
-        return [vid for side, vid in self.events if side == "R"]
+        return [vid for side, vid in zip(self.sides, self.ids) if side == "R"]
 
     def touching(self, vertices: Iterable[int]) -> tuple[int, int] | None:
         """The first pair of consecutive intervals in left-endpoint order
@@ -80,7 +112,7 @@ class IntervalRepresentation:
         return None
 
     def serialize(self) -> str:
-        return " ".join(f"{side}{vid}" for side, vid in self.events)
+        return " ".join(f"{side}{vid}" for side, vid in zip(self.sides, self.ids))
 
     def classify(self) -> GraphClass:
         """Classify the represented graph.
@@ -93,7 +125,7 @@ class IntervalRepresentation:
         if self.left_order() == self.right_order():
             return GraphClass.PROPER
         stack: list[int] = []
-        for side, vid in self.events:
+        for side, vid in zip(self.sides, self.ids):
             if side == "L":
                 stack.append(vid)
             elif stack and stack[-1] == vid:
@@ -119,7 +151,7 @@ _side, _vid = itemgetter(0), itemgetter(1)
 _numeral = itemgetter(slice(1, None))
 
 
-def _endpoint_ranks(sides: str, ids: list[int]) -> tuple[list[int], list[int]]:
+def _endpoint_ranks(sides: str, ids: Sequence[int]) -> tuple[list[int], list[int]]:
     """Check that the endpoints ``sides[i] + str(ids[i])`` pair up: one L
     and then one R for each vertex, and ids covering 1..n.
     Returns the 1-based rank of each vertex's L and R endpoint, indexed by
@@ -160,28 +192,33 @@ def parse_representation(text: str) -> IntervalRepresentation:
     """Parse an endpoint string, reporting the offending token position on error.
 
     One pass checks the line whole: its side letters as one string, its
-    numerals joined as one run of ASCII digits, read with one ``map(int)``.
-    Only a line that fails is read again token by token, to name its
-    first malformed token.  The pairing check then builds the rank lists,
-    and the representation keeps them as its ``left_rank`` and
-    ``right_rank``.
+    numerals joined as one run of ASCII digits, read with one ``map(int)``
+    into the id array.  Only a line that fails is read again token by
+    token, to name its first malformed token.  The token and numeral
+    lists go before the pairing check builds the rank lists, and the
+    representation keeps those as its ``left_rank`` and ``right_rank``.
     """
     tokens = text.split()
     sides = "".join(map(_side, tokens))
     numerals = list(map(_numeral, tokens))
     digits = "".join(numerals)
-    ids = (list(map(int, numerals))
-           if not sides.strip("LR") and digits.isdigit() and digits.isascii()
-           and "" not in numerals and max(map(len, numerals)) <= MAX_DIGITS
-           else None)
+    ids = None
+    if (not sides.strip("LR") and digits.isdigit() and digits.isascii()
+            and "" not in numerals and max(map(len, numerals)) <= MAX_DIGITS):
+        try:
+            ids = array("i", map(int, numerals))
+        except OverflowError:  # an id past a C int: the pairing check names it
+            ids = list(map(int, numerals))
     if ids is None or min(ids) < 1:
         # an empty line has no bad token, and no ids
         for pos, tok in enumerate(tokens, start=1):
             side, num = tok[:1], tok[1:]
             if side not in ("L", "R") or not _is_number(num) or int(num) < 1:
                 raise RepresentationError(f"malformed endpoint token {tok!r}", pos)
-        ids = []
+        ids = array("i")
+    del tokens, numerals, digits
     ranks = _endpoint_ranks(sides, ids)
-    rep = IntervalRepresentation(tuple(zip(sides, ids)))
+    # ids in 1..n fit a C int, so ids is the array
+    rep = IntervalRepresentation.from_word(sides, ids)
     rep.__dict__["_ranks"] = ranks  # what the cached property would build
     return rep

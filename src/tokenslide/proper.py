@@ -89,7 +89,7 @@ def prepare_proper(rep: IntervalRepresentation) -> PreparedProper:
     component = [0] * (n + 1)
     ends = [0]  # the position after which each component starts
     lefts = rights = 0
-    for side, vid in rep.events:
+    for side, vid in zip(rep.sides, rep.ids):
         if side == "L":
             order.append(vid)
             lefts += 1

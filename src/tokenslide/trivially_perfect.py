@@ -44,7 +44,7 @@ def prepare_tp(rep: IntervalRepresentation) -> PreparedTP:
     roots: list[int] = []
     twins: list[tuple[int, int]] = []
     stack: list[int] = []  # the open intervals, innermost last
-    for side, vid in rep.events:
+    for side, vid in zip(rep.sides, rep.ids):
         if side == "L":
             if stack:
                 up = stack[-1]
@@ -97,7 +97,7 @@ def solve_tp(
     tokens = frozenset(blue).union(red)
     stack = [[0, 0, 0, 0, 0]]  # the bottom one collects the roots
     moves: list[tuple[int, int]] = []
-    for side, v in p.rep.events:
+    for side, v in zip(p.rep.sides, p.rep.ids):
         if side == "L":
             stack.append(None)
             continue

@@ -55,19 +55,21 @@ def test_random_proper_instances_all_reachable():
 
 def test_solvers_agree_with_exhaustive_search():
     """Exhaustive sweep: proper n <= 9 and trivially perfect n <= 10 with
-    k <= 4, and caterpillars n <= 10 with k <= 3, all ordered
-    independent-set pairs.  Decisions and move counts must match
-    breadth-first search exactly.  Two workers share each sweep; sharding
-    leaves the report unchanged."""
+    k <= 5, and caterpillars n <= 9 with k <= 5 and n <= 10 with k <= 3,
+    all ordered independent-set pairs.  Decisions and move counts must
+    match breadth-first search exactly.  Two workers share each sweep;
+    sharding leaves the report unchanged."""
     start = time.perf_counter()
     totals = {}
-    for cls, n_max, k_max in (("proper", 9, 4), ("tp", 10, 4), ("caterpillar", 10, 3)):
+    boxes = (("proper", 9, 5), ("tp", 10, 5), ("caterpillar", 9, 5), ("caterpillar", 10, 3))
+    for cls, n_max, k_max in boxes:
         report = crosscheck(cls, n_max, k_max=k_max, jobs=2)
         assert report.mismatches == (), report.render()
-        totals[cls] = report.checked
-    assert totals["proper"] > 98_000
-    assert totals["tp"] > 253_000
-    assert totals["caterpillar"] > 400_000
+        totals[cls, n_max] = report.checked
+    assert totals["proper", 9] >= 98_755
+    assert totals["tp", 10] >= 308_028
+    assert totals["caterpillar", 9] >= 170_342
+    assert totals["caterpillar", 10] > 400_000
     assert time.perf_counter() - start < 600.0
 
 

@@ -2,8 +2,9 @@
 
 Its tracer wraps the layer modules' public functions and three methods,
 and its input builder calls the generators and the instance types.  This
-smoke test runs both against the package, so removing or renaming a name
-they use fails here rather than in the benchmark.
+smoke test runs both against the package, building the inputs of every
+workload, so removing or renaming a name they use fails here rather than
+in the benchmark.
 """
 
 import importlib.util
@@ -27,9 +28,15 @@ def load(name):
 
 def test_input_builder_reaches_the_package(tmp_path):
     inputs = load("inputs")
-    built = inputs.build(tokenslide, "sweep", 1, tmp_path)
-    assert built.cases and all(case.path.exists() for case in built.cases)
-    assert all(sw.expected > 0 for sw in built.sweeps)
+    for workload in inputs.WORKLOADS:
+        workdir = tmp_path / workload
+        workdir.mkdir()
+        built = inputs.build(tokenslide, workload, 1, workdir)
+        assert built.cases and all(case.path.exists() for case in built.cases)
+        assert all(sw.expected > 0 for sw in built.sweeps)
+        for case in built.cases:
+            assert tokenslide.parse_instance(case.path.read_text()) == case.inst, case.name
+    assert sorted(inputs.WORKLOADS) == ["adversarial", "scale", "sweep"]
     rng = random.Random(1)
     for inst in (
         inputs.nesting_instance(tokenslide, 5, 2, rng),

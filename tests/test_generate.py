@@ -16,7 +16,7 @@ from tokenslide.generate import (
 from tokenslide.caterpillar import prepare_caterpillar
 from tokenslide.graphs import Graph, find_strong_twins
 from tokenslide.instances import MAX_N, serialize_instance
-from tokenslide.intervals import GraphClass
+from tokenslide.intervals import GraphClass, IntervalRepresentation
 
 
 def test_path_representation_shape():
@@ -24,6 +24,26 @@ def test_path_representation_shape():
     assert rep.serialize() == "L1 L2 R1 L3 R2 R3"
     g = Graph.from_representation(path_representation(6))
     assert sorted(g.edges()) == [(i, i + 1) for i in range(1, 6)]
+
+
+def test_path_words_pair_up():
+    for n in range(1, 30):
+        rep = path_representation(n)
+        # the constructor checks the pairing the builder skips
+        assert IntervalRepresentation(rep.events) == rep and rep.n == n
+    assert path_representation(1).serialize() == "L1 R1"
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_path_of_no_vertex_refused(n):
+    with pytest.raises(ValueError, match="a path needs n >= 1"):
+        path_representation(n)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_quadratic_path_of_no_token_refused(k):
+    with pytest.raises(GenerationError, match="^INFEASIBLE: need k >= 1"):
+        quadratic_path_instance(k)
 
 
 def test_quadratic_path_instance_layout():

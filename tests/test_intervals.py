@@ -1,7 +1,9 @@
 """Endpoint-string parsing, classification, and round-trips."""
 
+import gc
 import random
 import time
+import tracemalloc
 
 import pytest
 from walks import intersection_edges
@@ -10,6 +12,7 @@ from tokenslide.generate import (
     enumerate_proper_representations,
     enumerate_tp_representations,
     gen_instance,
+    path_representation,
 )
 from tokenslide.intervals import (
     GraphClass,
@@ -85,8 +88,35 @@ def test_parsed_ranks_equal_the_ranks_built_from_events():
         built = IntervalRepresentation(rep.events)
         expected = event_ranks(rep.events)
         assert parsed.events == rep.events
+        assert parsed == built == rep and hash(parsed) == hash(built) == hash(rep)
         assert (parsed.left_rank, parsed.right_rank) == expected, rep.serialize()
         assert (built.left_rank, built.right_rank) == expected, rep.serialize()
+
+
+@pytest.mark.parametrize("name, limit", [("parsed", 60), ("tp", 10), ("path", 10)])
+def test_a_word_holds_a_few_bytes_per_endpoint(name, limit):
+    """A representation holds its side letters in one str and its ids in
+    one array('i').  A parsed word, rank lists included, takes about 41
+    bytes an endpoint and a generated one about 5, where a tuple per
+    endpoint took 127 and 80 to 95.  The parser leaves the rank lists on
+    the word, so they count; a generated word builds them on first use."""
+    n = 10**4
+    text = gen_instance("proper", n, 30, seed=0).rep.serialize()
+    build = {
+        "parsed": lambda: parse_representation(text),
+        "tp": lambda: gen_instance("tp", n, 30, seed=0).rep,
+        "path": lambda: path_representation(n),
+    }[name]
+    build()  # fills the free lists first, so that what they keep is not counted
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rep = build()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert rep.n == n
+    assert held <= limit * 2 * n, held / (2 * n)
 
 
 def test_an_id_past_the_endpoint_count_sizes_no_list():

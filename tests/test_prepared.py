@@ -7,6 +7,7 @@ backwards, so state leaking from one pair into the next would show.
 """
 
 import importlib
+from array import array
 
 import pytest
 
@@ -160,18 +161,18 @@ def test_prepare_raises_the_structural_errors(cls, structure, kind, message, det
         assert info.value.details == details
 
 
-class CountedEvents(tuple):
-    """An event tuple that counts how often it is traversed."""
+class CountedIds(array):
+    """An id array that counts how often it is traversed."""
 
     traversals = 0
 
     def __iter__(self):
-        CountedEvents.traversals += 1
+        CountedIds.traversals += 1
         return super().__iter__()
 
     def __reversed__(self):
-        CountedEvents.traversals += 1
-        return iter(self[::-1])  # a slice is a plain tuple
+        CountedIds.traversals += 1
+        return iter(self[::-1])  # a slice is a plain array
 
 
 @pytest.mark.parametrize(
@@ -183,11 +184,11 @@ class CountedEvents(tuple):
     ids=["proper", "tp"],
 )
 def test_prepare_reads_the_endpoints_once(prepare, text, monkeypatch):
-    events = CountedEvents(parse_representation(text).events)
-    rep = IntervalRepresentation(events)
-    monkeypatch.setattr(CountedEvents, "traversals", 0)
+    parsed = parse_representation(text)
+    rep = IntervalRepresentation.from_word(parsed.sides, CountedIds("i", parsed.ids))
+    monkeypatch.setattr(CountedIds, "traversals", 0)
     prepared = prepare(rep)
-    assert CountedEvents.traversals == 1
+    assert CountedIds.traversals == 1
     assert prepared == prepare(parse_representation(text))
 
 
