@@ -31,7 +31,7 @@ ENTRIES = list(entries())
 
 
 def test_corpus_has_every_known_failure():
-    assert [inst.n for inst, _ in ENTRIES] == [10, 10, 27, 23, 23]
+    assert [inst.n for inst, _ in ENTRIES] == [10, 10, 27, 23, 23] + [10] * 7
 
 
 @pytest.mark.parametrize("inst,distance", ENTRIES)
