@@ -115,7 +115,7 @@ def _proper_word_attempt(n: int, rng: random.Random, p_open: float, width: int):
 
 def _random_proper_representation(n: int, rng: random.Random) -> IntervalRepresentation:
     if n == 1:
-        return IntervalRepresentation((("L", 1), ("R", 1)))
+        return path_representation(1)
     if n == 2:
         raise GenerationError(
             "INFEASIBLE: every connected proper family on two intervals is a twin pair"
