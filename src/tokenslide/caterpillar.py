@@ -47,6 +47,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from typing import AbstractSet, NamedTuple
 
 from .blocks import BLUE, RED, block_order, boundary_edges, split_blocks, travel
@@ -439,62 +440,48 @@ class _Scheduler:
         and must still be unprocessed if its travelers merely pass by
         it, so that nobody has to shove the parked token a second time.
         A token is shoved from its start while its own block still
-        waits, and from its target afterwards; already-known order
-        constraints tell the two situations apart.
+        waits, and from its target afterwards; the order constraints
+        known before the per-token scan starts tell the two apart.
         """
-        k = len(blocks)
-        if k < 2:
+        if len(blocks) < 2:
             return
+        spine, leaves, group = self.spine, self.leaves, self.group
         spans = [(b[0][0], b[-1][0]) for b in blocks]
+        # the block of every blue token and of its start cell, and the
+        # start and target groups of each block's blue tokens
         home: dict[_Token, int] = {}
-        members: list[list[_Token]] = [[] for _ in blocks]
         start_cells: dict[int, int] = {}
+        members: list[list[tuple[int, int, _Token]]] = [[] for _ in blocks]
         for i, b in enumerate(blocks):
-            for grp, bit, tok in b:
+            for _, bit, tok in b:
                 if bit == BLUE:
                     home[tok] = i
-                    members[i].append(tok)
                     start_cells[tok.start] = i
-        starts = [{self.group[t.start] for t in ms} for ms in members]
-        bfirst = [b[0][1] == BLUE for b in blocks]
-        m = len(self.spine)
+                    members[i].append((group[tok.start], group[tok.target], tok))
+        starts = [{us for us, _, _ in ms} for ms in members]
+        # the step against each block's travel; a blue-first block moves right
+        back = [-1 if b[0][1] == BLUE else 1 for b in blocks]
         taken = {t.target for t in self.tokens} | {t.start for t in self.tokens}
 
         def bare(g: int) -> bool:
-            return not any(l not in taken for l in self.leaves[g])
+            return all(l in taken for l in leaves[g])
 
         def conflict(own, di: int, g: int, d: int) -> None:
-            if d < 0:
-                near = [
-                    (sp[1], z)
-                    for z, sp in enumerate(spans)
-                    if sp[1] < g and z != own
-                ]
-            else:
-                near = [
-                    (-sp[0], z)
-                    for z, sp in enumerate(spans)
-                    if sp[0] > g and z != own
-                ]
-            zi = max(near)[1] if near else None
+            # the other block whose end facing g lies nearest beyond g along d
+            _, zi = max(
+                ((-d * sp[d < 0], z) for z, sp in enumerate(spans)
+                 if (sp[d < 0] - g) * d > 0 and z != own),
+                default=(0, None),
+            )
             if zi is None or zi == di:
                 return
+            # zi lies beyond g + d, so that group exists
             gl, gla = g + d, g + 2 * d
             targets = {e[2].target for e in blocks[zi]}
-            spine_hit = targets & {
-                self.spine[j] for j in (gl, gla) if 0 <= j < m
-            }
-            leaf_hit = any(
-                self.group[c] == gl and self.spine[gl] != c
-                for c in targets
-            )
-            zlo, zhi = spans[zi]
+            spine_hit = targets & {spine[j] for j in (gl, gla) if 0 <= j < len(spine)}
+            leaf_hit = any(group[c] == gl and spine[gl] != c for c in targets)
             if spine_hit or leaf_hit:
-                sitters = (
-                    {start_cells[l] for l in self.leaves[gl] if l in start_cells}
-                    if 0 <= gl < m
-                    else set()
-                )
+                sitters = {start_cells[l] for l in leaves[gl] if l in start_cells}
                 sitters.discard(di)
                 # a standing blue on a landing-spot leaf blocks the
                 # shove until its own block departs
@@ -502,93 +489,66 @@ class _Scheduler:
                     edges.append((w, di))
                 if zi not in sitters:
                     edges.append((di, zi))
-            elif (zhi >= gla) if d < 0 else (zlo <= gla):
+            elif (gla - spans[zi][d < 0]) * d >= 0:  # zi's travelers pass it by
                 edges.append((zi, di))
 
         # fellow members shove a mate before it departs or after it
         # settles; this does not depend on how whole blocks end up ordered
         for token, own in home.items():
-            g = self.group[token.start]
-            if self.spine[g] == token.start:
-                if bare(g):
-                    if bfirst[own] and g + 1 in starts[own]:
-                        conflict(own, own, g, -1)
-                    elif not bfirst[own] and g - 1 in starts[own]:
-                        conflict(own, own, g, 1)
-            tt, gp = token.target, self.group[token.target]
-            if self.spine[gp] == tt and tt != token.start:
-                if bare(gp):
-                    ts = self.group[token.start]
-                    for u in members[own]:
-                        if u is token:
-                            continue
-                        us, ut = self.group[u.start], self.group[u.target]
-                        if bfirst[own] and us < ts and ut == gp - 1:
-                            conflict(own, own, gp, 1)
-                            break
-                        if not bfirst[own] and us > ts and ut == gp + 1:
-                            conflict(own, own, gp, -1)
-                            break
+            bk, ts = back[own], group[token.start]
+            if spine[ts] == token.start and bare(ts) and ts - bk in starts[own]:
+                conflict(own, own, ts, bk)
+            gp = group[token.target]
+            if spine[gp] == token.target and bare(gp) and any(
+                (us - ts) * bk > 0 and ut == gp + bk for us, ut, _ in members[own]
+            ):
+                conflict(own, own, gp, -bk)
 
-        reach: list[set[int]] = [set() for _ in blocks]
+        # the blocks each block precedes under the constraints known
+        # before the per-token scan, searched on first use
+        succ: list[list[int]] = [[] for _ in blocks]
         for a, b in edges:
-            reach[a].add(b)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(k):
-                grow = set()
-                for j in reach[i]:
-                    grow |= reach[j] - reach[i]
-                if grow:
-                    reach[i] |= grow
-                    changed = True
+            succ[a].append(b)
+
+        @cache
+        def later(a: int) -> set[int]:
+            seen, todo = set(), list(succ[a])
+            while todo:
+                if (y := todo.pop()) not in seen:
+                    seen.add(y)
+                    todo += succ[y]
+            return seen
 
         for token in self.tokens:
             own = home.get(token)
-            gt_grp = self.group[token.target]
-            for cell, phase in ((token.start, 0), (token.target, 1)):
-                if phase == 1 and (own is None or cell == token.start):
+            ts, gt = group[token.start], group[token.target]
+            cells = (token.start,) if own is None else (token.start, token.target)
+            for phase, cell in enumerate(cells):
+                g = group[cell]
+                if spine[g] != cell:
                     continue
-                g = self.group[cell]
-                if self.spine[g] != cell:
-                    continue
-                trav = 0
-                if phase == 0 and gt_grp != g:
-                    trav = 1 if gt_grp > g else -1
-                for s in (1, -1):
-                    d = -s
+                for d in (-1, 1):
                     # a shove along the travel direction happens even
                     # when a parking leaf is free, so scan regardless
-                    toward = own is not None and trav == d
+                    toward = own is not None and phase == 0 and (gt - g) * d > 0
                     if not toward and not bare(g):
                         continue
                     for di, (lo, hi) in enumerate(spans):
-                        if not lo <= g + s <= hi or di == own:
+                        if not lo <= g - d <= hi or di == own:
                             continue
                         if own is not None:
-                            di_first = own in reach[di]
-                            own_first = di in reach[own]
-                            if phase == 0 and own_first and not di_first:
-                                continue
-                            if phase == 1 and di_first and not own_first:
+                            first, then = (own, di) if phase == 0 else (di, own)
+                            if then in later(first) and first not in later(then):
                                 continue
                         conflict(own, di, g, d)
-                        if not toward:
-                            continue
-                        gl = g + d
-                        for u in members[own]:
-                            if u is token:
-                                continue
-                            ts = self.group[token.start]
-                            if bfirst[own] != (self.group[u.start] > ts):
-                                continue
-                            ulo, uhi = sorted(
-                                (self.group[u.start], self.group[u.target])
-                            )
-                            if ulo - 1 <= gl <= uhi + 1:
-                                edges.append((own, di))
-                                break
+                        # a mate ahead, or level in a red-first block, whose
+                        # route passes the landing spot runs the token's block first
+                        if toward and any(
+                            u is not token and (us > ts) == (back[own] < 0)
+                            and min(us, ut) - 1 <= g + d <= max(us, ut) + 1
+                            for us, ut, u in members[own]
+                        ):
+                            edges.append((own, di))
 
     def _sweep(self) -> None:
         """Walk stragglers home: leaf-to-spine finishers, parked

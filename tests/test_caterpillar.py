@@ -99,6 +99,19 @@ class TestSolveYes:
             (5, 1), (1, 2), (2, 6),
         )
 
+    def test_shoves_follow_chained_block_order(self):
+        # spine 1..11 with leaf 11 + i on spine cell i; the block of the
+        # 18 -> 17 token precedes the 3 -> 14 one only through a chain of
+        # order constraints.  Both orders take the oracle's 22 moves; this
+        # pins the one the scheduler picks.
+        g = Graph(22, [(i, i + 1) for i in range(1, 11)] + [(i, 11 + i) for i in range(1, 12)])
+        blue, red = (3, 12, 15, 18, 19, 20, 22), (5, 8, 10, 14, 15, 17, 18)
+        res = solve_caterpillar(g, blue, red)
+        assert res.move_count == 22
+        assert res.moves[:4] == ((18, 7), (7, 6), (6, 17), (3, 2))
+        check = validate_sequence(g, blue, red, res.moves)
+        assert check.ok, check.reason
+
     def test_identical_twin_group_splits_the_spine(self):
         g = Graph(7, [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6), (3, 7)])
         res = solve_caterpillar(g, (6, 7, 1), (6, 7, 2))
