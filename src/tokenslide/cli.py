@@ -179,15 +179,19 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_crosscheck(args: argparse.Namespace) -> int:
-    report = crosscheck(
-        args.cls,
-        args.n,
-        count=args.count,
-        seed=args.seed,
-        k_max=args.k,
-        jobs=args.jobs,
-        cap=args.budget,
-    )
+    try:
+        report = crosscheck(
+            args.cls,
+            args.n,
+            count=args.count,
+            seed=args.seed,
+            k_max=args.k,
+            jobs=args.jobs,
+            cap=args.budget,
+        )
+    except ValueError as err:
+        # a sweep that would check nothing; the sweep reports solver errors itself
+        return _fail(f"ERROR INPUT: {err}")
     with _open_out(args.out) as out:
         out.write(report.render())
     return 0 if report.ok else 1

@@ -10,7 +10,9 @@ and the sweep goes on.
 
 Each graph is analysed once (``prepare_proper``, ``prepare_tp`` or
 ``prepare_caterpillar``) and every token pair on it is solved against
-that prepared value by the public ``solve_*`` function.
+that prepared value by the public ``solve_*`` function.  Each token set
+is checked once per graph, and the solver and ``validate_sequence``
+trust the checked tuple instead of checking it again for every pair.
 
 Two sweep shapes are supported: exhaustive (every canonical graph of the
 class up to a vertex bound, every independent-set pair up to a token
@@ -28,7 +30,7 @@ import random
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import chain, product
+from itertools import accumulate, chain, product
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -46,7 +48,7 @@ from .instances import Instance, serialize_instance
 from .intervals import IntervalRepresentation
 from .oracle import CAPPED, DEFAULT_STATE_CAP, SlideSpace
 from .proper import prepare_proper, solve_proper
-from .results import SolveResult, SolverInputError
+from .results import SolveResult, SolverInputError, checked_tokens
 from .trivially_perfect import prepare_tp, solve_tp
 
 CLASSES = ("proper", "tp", "caterpillar")
@@ -181,15 +183,17 @@ def _instance_from_params(cls: str, n: int, k: int, gseed: int) -> Instance | No
     return None
 
 
-_Pairs = Iterable[tuple[tuple[int, ...], tuple[int, ...]]]
+# a graph's token pairs, as indices into its list of token sets
+_Pairs = Iterable[tuple[int, int]]
 
 
 def _cases(
     cls: str, n_max: int, count: int | None, seed: int, k_max: int,
     shard: int, nshards: int,
-) -> Iterator[tuple[int, Instance, Graph, _Pairs]]:
+) -> Iterator[tuple[int, Instance, Graph, list[tuple[int, ...]], _Pairs]]:
     """One shard's graphs, each as (serial of its first pair, instance
-    carrying the graph, graph, token pairs).
+    carrying the graph, graph, its token sets, and its pairs as indices
+    into those sets).
 
     Exhaustive sweeps pair every independent set with every set of its
     size; randomized ones give each generated instance its own pair.
@@ -203,15 +207,31 @@ def _cases(
                 list(enumerate_independent_sets(g, k)) for k in range(1, k_max + 1)
             ]
             if gi % nshards == shard:
-                pairs = chain.from_iterable(product(sets, sets) for sets in setlists)
-                yield serial, _tokenless(structure, g), g, pairs
+                # each size's sets sit together in one list, from its start on
+                starts = accumulate(map(len, setlists), initial=0)
+                pairs = chain.from_iterable(
+                    product(range(at, at + len(sets)), repeat=2)
+                    for at, sets in zip(starts, setlists)
+                )
+                sets = list(chain.from_iterable(setlists))
+                yield serial, _tokenless(structure, g), g, sets, pairs
             serial += sum(len(sets) ** 2 for sets in setlists)
         return
     params = _random_params(cls, n_max, count, seed, k_max)
     for serial in range(shard, count, nshards):
         inst = _instance_from_params(cls, *params[serial])
         if inst is not None:
-            yield serial, inst, inst.graph, [(inst.blue, inst.red)]
+            yield serial, inst, inst.graph, [inst.blue, inst.red], [(0, 1)]
+
+
+def _check_once(tokens: tuple[int, ...], structure) -> tuple[int, ...]:
+    """``tokens`` checked on ``structure``, so that the solvers and
+    ``validate_sequence`` trust them there; a set that fails the check
+    stays the raw tuple, and each solve of it raises as it would."""
+    try:
+        return checked_tokens(tokens, structure)
+    except SolverInputError:
+        return tokens
 
 
 def _shard(
@@ -228,7 +248,7 @@ def _shard(
 ) -> tuple[int, list[tuple[int, str, str, str, str]]]:
     checked = 0
     found: list[tuple[int, str, str, str, str]] = []
-    for serial, inst, g, pairs in _cases(
+    for serial, inst, g, sets, pairs in _cases(
         cls, n_max, count, seed, k_max, shard, nshards
     ):
         structure = g if inst.rep is None else inst.rep
@@ -241,14 +261,21 @@ def _shard(
             prepared, failed = structure if prepare is None else prepare(structure), None
         except Exception as err:
             prepared, failed = None, _failure(err)
-        for blue, red in pairs:
+        # each set is checked once on what the solver reads and, for the
+        # interval classes, once on g, which _judge replays on
+        solved = [_check_once(tokens, structure) for tokens in sets]
+        judged = solved if structure is g else [_check_once(tokens, g) for tokens in sets]
+        for i, j in pairs:
+            blue, red = solved[i], solved[j]
             try:
                 outcome = failed or solver(prepared, blue, red)
             except Exception as err:
                 outcome = _failure(err)
-            verdict = _judge(g, blue, red, outcome, space.distance(blue, red))
+            verdict = _judge(
+                g, judged[i], judged[j], outcome, space.distance(blue, red)
+            )
             if verdict is not None:
-                bad = replace(inst, blue=blue, red=red)
+                bad = replace(inst, blue=sets[i], red=sets[j])
                 found.append((serial, _inline(bad), *verdict))
             checked += 1
             serial += 1
@@ -272,13 +299,20 @@ def crosscheck(
     ``k_max``; a number checks that many seeded random instances.
     ``n_max``, ``count``, ``k_max`` or ``jobs`` below 1, or ``cap`` below
     0, raises ValueError, since such a sweep would check nothing or run
-    as some other one.  The search from each source expands at most
-    ``cap`` states; a pair it cannot settle within that reads
-    ``oracle=CAP``.  The class solver prepares each graph once and
-    solves all of its pairs against the prepared value.  A solver
-    exception other than SolverInputError becomes a ``CRASH:<type>``
-    mismatch for its pair (for every pair of the graph when preparing
-    raised), and the count of checked pairs stays complete.
+    as some other one; so does ``n_max`` below 3 for caterpillar, which
+    has no graph that small, and ``n_max`` 2 with a ``count``, whose
+    draws are all two-vertex graphs and none twin-free.  The search
+    from each source expands at most ``cap`` states; a pair it cannot
+    settle within that reads ``oracle=CAP``.  The class solver prepares
+    each graph once and solves all of its pairs against the prepared
+    value.  Each token set is checked once per graph, on the structure
+    the solver takes and, for proper and tp, on the graph its sequences
+    replay on; the solvers and ``validate_sequence`` trust those checked
+    tuples, and a set that fails its check reaches them as a plain tuple
+    and is rejected per pair.  A solver exception other than
+    SolverInputError becomes a ``CRASH:<type>`` mismatch for its pair
+    (for every pair of the graph when preparing raised), and the count
+    of checked pairs stays complete.
 
     The ``solver`` hook substitutes the answering function, which proves
     the harness catches a corrupted solver.  It takes the public solvers'
@@ -296,6 +330,12 @@ def crosscheck(
             raise ValueError(f"{name} must be at least 1, got {value}")
     if cap < 0:
         raise ValueError(f"cap must be at least 0, got {cap}")
+    # no caterpillar has fewer than three vertices, and a randomized sweep
+    # with n_max 2 draws only two-vertex graphs, none of them twin-free
+    if cls == "caterpillar" and n_max < 3:
+        raise ValueError(f"a caterpillar sweep needs n_max at least 3, got {n_max}")
+    if count is not None and n_max == 2:
+        raise ValueError("a randomized sweep needs n_max 1 or at least 3, got 2")
     prepare: Callable[[Any], Any] | None = None
     if solver is None:
         # looked up per call, so a module name rebound from outside (a test

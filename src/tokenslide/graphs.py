@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .intervals import IntervalRepresentation
+from .results import is_checked
 
 
 class Graph:
@@ -251,22 +252,28 @@ def validate_sequence(
     of the first violation is 1-based; step 0 flags a blue set that is
     not independent, as ``g.touching`` finds it, and the last step a
     wrong final set.  A blue or red vertex outside 1..n, or listed
-    twice, raises ValueError.
+    twice, raises ValueError.  When both blue and red are tuples that
+    ``results.checked_tokens`` made on this same ``g`` object, those
+    range, duplicate and step-0 checks are trusted and skipped; the
+    replay and the final-set comparison always run.
 
     ``g`` is a Graph or an IntervalRepresentation.  A representation is
     checked without building any edge: O(n + k log k) set-up for k
     tokens, then O(1) per move, as two intervals meet iff their rank
     ranges overlap.  Both give the same verdicts, each in one loop.
     """
-    blue, red = tuple(blue), tuple(red)
-    blue_set, red_set = set(blue), set(red)
-    for label, tokens, vs in (("blue", blue, blue_set), ("red", red, red_set)):
-        if len(vs) != len(tokens):
-            raise ValueError(f"{label} lists a vertex twice")
-        if vs and (min(vs) < 1 or max(vs) > g.n):
-            raise ValueError(f"{label} vertex out of range 1..{g.n}")
-    if g.touching(blue_set) is not None:
-        return ValidationResult(False, 0, "NOT_INDEPENDENT")
+    if is_checked(blue, g) and is_checked(red, g):
+        blue_set, red_set = set(blue), set(red)
+    else:
+        blue, red = tuple(blue), tuple(red)
+        blue_set, red_set = set(blue), set(red)
+        for label, tokens, vs in (("blue", blue, blue_set), ("red", red, red_set)):
+            if len(vs) != len(tokens):
+                raise ValueError(f"{label} lists a vertex twice")
+            if vs and (min(vs) < 1 or max(vs) > g.n):
+                raise ValueError(f"{label} vertex out of range 1..{g.n}")
+        if g.touching(blue_set) is not None:
+            return ValidationResult(False, 0, "NOT_INDEPENDENT")
     replay = _replay_ranks if isinstance(g, IntervalRepresentation) else _replay_adjacency
     # the replay moves the tokens in blue_set, which ends as the final set
     step, broken = replay(g, blue_set, seq)

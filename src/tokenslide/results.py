@@ -20,6 +20,31 @@ class SolverInputError(ValueError):
         self.details = details
 
 
+class _CheckedTokens(tuple):
+    """A token tuple that ``check_tokens`` accepted on the structure ``on``.
+
+    Only ``checked_tokens`` makes one.  The structure is compared by
+    identity, and a Graph or IntervalRepresentation never changes, so
+    the tuple stays valid on it for its whole life.
+    """
+
+    on: object
+
+
+def checked_tokens(tokens: Iterable[int], structure) -> tuple[int, ...]:
+    """``check_tokens`` with an empty label, its tuple marked as checked
+    on ``structure``: ``check_tokens`` and ``validate_sequence`` trust
+    the mark on that structure and skip their checks."""
+    out = _CheckedTokens(check_tokens("", tokens, structure))
+    out.on = structure
+    return out
+
+
+def is_checked(tokens, structure) -> bool:
+    """Whether ``tokens`` came from ``checked_tokens`` on ``structure``."""
+    return type(tokens) is _CheckedTokens and tokens.on is structure
+
+
 def check_tokens(label: str, tokens: Iterable[int], structure) -> tuple[int, ...]:
     """Read one token set into a tuple and check it against vertices 1..n.
 
@@ -29,7 +54,13 @@ def check_tokens(label: str, tokens: Iterable[int], structure) -> tuple[int, ...
     vertex outside 1..n, and NOT_INDEPENDENT for a vertex listed twice
     or, with that pair as details, for two adjacent tokens.  ``label``
     names the set in messages and may be empty.
+
+    A tuple that ``checked_tokens`` made on this same structure object
+    is trusted and returned unchanged; a tuple checked on any other
+    structure, even an equal one, is checked again.
     """
+    if is_checked(tokens, structure):
+        return tokens
     tokens = tuple(tokens)
     n = structure.n
     who = f"{label} " if label else ""

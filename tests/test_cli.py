@@ -509,6 +509,25 @@ class TestCrosscheck:
         assert captured.out == ""
         assert message in captured.err
 
+    # each of these printed CHECKED 0 MISMATCHES 0 and exited 0
+    @pytest.mark.parametrize("argv, message", [
+        (("caterpillar", "--n", "2"), "a caterpillar sweep needs n_max at least 3, got 2"),
+        (("caterpillar", "--n", "1"), "a caterpillar sweep needs n_max at least 3, got 1"),
+        (("caterpillar", "--n", "1", "--count", "2"),
+         "a caterpillar sweep needs n_max at least 3, got 1"),
+        (("proper", "--n", "2", "--count", "3"),
+         "a randomized sweep needs n_max 1 or at least 3, got 2"),
+        (("tp", "--n", "2", "--count", "3"),
+         "a randomized sweep needs n_max 1 or at least 3, got 2"),
+        (("caterpillar", "--n", "2", "--count", "3"),
+         "a caterpillar sweep needs n_max at least 3, got 2"),
+    ])
+    def test_sweep_that_checks_nothing_is_an_input_error(self, argv, message, capsys):
+        code, out, err = run(capsys, "crosscheck", "--class", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"ERROR INPUT: {message}\n"
+
     def test_zero_budget_is_accepted(self, capsys):
         code, out, _ = run(
             capsys, "crosscheck", "--class", "proper", "--n", "3", "--budget", "0"

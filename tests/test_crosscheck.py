@@ -2,6 +2,9 @@
 
 import gc
 import importlib
+from collections import Counter
+
+import pytest
 
 from tokenslide.crosscheck import CrosscheckReport, Mismatch, crosscheck
 from tokenslide.generate import (
@@ -12,6 +15,7 @@ from tokenslide.generate import (
 )
 from tokenslide.graphs import Graph, find_strong_twins
 from tokenslide.instances import parse_instance
+from tokenslide.intervals import IntervalRepresentation
 from tokenslide.results import SolverInputError, no_result, yes_result
 
 
@@ -52,11 +56,6 @@ class TestExhaustive:
             g for n in range(3, 7) for g in enumerate_caterpillar_graphs(n)
         ]
         assert report.checked == _expected_pairs(graphs)
-
-    def test_below_smallest_graph_is_empty(self):
-        report = crosscheck("caterpillar", 2)
-        assert report == CrosscheckReport(0, ())
-        assert report.render() == "CHECKED 0 MISMATCHES 0\n"
 
     def test_sharding_does_not_change_the_report(self):
         assert crosscheck("caterpillar", 6, jobs=3) == crosscheck(
@@ -278,3 +277,106 @@ def test_sweep_bounds_below_their_least_rejected():
         args = {"n_max": 5, **kwargs}
         with pytest.raises(ValueError, match=name):
             crosscheck("proper", **args)
+    # no caterpillar has fewer than three vertices, and no class has a
+    # twin-free two-vertex graph for a randomized sweep to draw
+    for kwargs in (
+        {"n_max": 2}, {"n_max": 1}, {"n_max": 1, "count": 2}, {"n_max": 2, "count": 3}
+    ):
+        with pytest.raises(ValueError, match="caterpillar sweep needs n_max at least 3"):
+            crosscheck("caterpillar", **kwargs)
+    for cls in ("proper", "tp"):
+        with pytest.raises(ValueError, match="n_max 1 or at least 3, got 2"):
+            crosscheck(cls, 2, count=3)
+    # the least bounds that still check something
+    assert crosscheck("caterpillar", 3).checked == 10
+    assert crosscheck("proper", 1, count=3).checked == 3
+    assert crosscheck("proper", 2).checked == 1
+
+
+@pytest.mark.parametrize("cls", ["proper", "tp", "caterpillar"])
+def test_each_token_set_is_checked_once_per_graph(cls, monkeypatch):
+    # every token check, by check_tokens or by validate_sequence's step 0,
+    # asks the structure's touching once; the sweep's own enumeration of
+    # the sets asks too, and is not counted
+    cc = importlib.import_module("tokenslide.crosscheck")
+    enumerate_sets = cc.enumerate_independent_sets
+    checks = Counter()
+    counting = [True]
+
+    def uncounted_sets(g, k):
+        counting[0] = False
+        try:
+            return list(enumerate_sets(g, k))
+        finally:
+            counting[0] = True
+
+    for owner in (Graph, IntervalRepresentation):
+        def counted(self, vertices, touching=owner.touching):
+            if counting[0]:
+                checks[type(self)] += 1
+            return touching(self, vertices)
+
+        monkeypatch.setattr(owner, "touching", counted)
+    monkeypatch.setattr(cc, "enumerate_independent_sets", uncounted_sets)
+    report = crosscheck(cls, 6)
+    sets = sum(
+        len(uncounted_sets(g, k))
+        for _, g in cc._graph_stream(cls, 6)
+        for k in range(1, 4)
+    )
+    assert report.ok
+    # once on the graph, and for the interval classes once on the
+    # representation the solver reads; checking per pair asks about twice
+    # per pair, and a graph has far more pairs than sets
+    if cls == "caterpillar":
+        assert checks == {Graph: sets}
+    else:
+        assert checks == {Graph: sets, IntervalRepresentation: sets}
+    assert report.checked > 4 * sets
+
+
+# the lines a sweep gives when one enumerated set holds both ends of an
+# edge: the solver rejects each pair with that set as blue or red
+TOUCHING_SET_LINES = {
+    "proper": """\
+MISMATCH n 4;rep L1 L2 R1 L3 R2 L4 R3 R4;blue 1 3;red 1 2 solver=ERROR:NOT_INDEPENDENT oracle=NO note=solver rejected the instance
+MISMATCH n 4;rep L1 L2 R1 L3 R2 L4 R3 R4;blue 1 4;red 1 2 solver=ERROR:NOT_INDEPENDENT oracle=NO note=solver rejected the instance
+MISMATCH n 4;rep L1 L2 R1 L3 R2 L4 R3 R4;blue 2 4;red 1 2 solver=ERROR:NOT_INDEPENDENT oracle=NO note=solver rejected the instance
+MISMATCH n 4;rep L1 L2 R1 L3 R2 L4 R3 R4;blue 1 2;red 1 3 solver=ERROR:NOT_INDEPENDENT oracle=NO note=solver rejected the instance
+MISMATCH n 4;rep L1 L2 R1 L3 R2 L4 R3 R4;blue 1 2;red 1 4 solver=ERROR:NOT_INDEPENDENT oracle=NO note=solver rejected the instance
+MISMATCH n 4;rep L1 L2 R1 L3 R2 L4 R3 R4;blue 1 2;red 2 4 solver=ERROR:NOT_INDEPENDENT oracle=NO note=solver rejected the instance
+MISMATCH n 4;rep L1 L2 R1 L3 R2 L4 R3 R4;blue 1 2;red 1 2 solver=ERROR:NOT_INDEPENDENT oracle=0 note=solver rejected the instance
+CHECKED 43 MISMATCHES 7
+""",
+    "caterpillar": """\
+MISMATCH n 4;edges 3;1 2;1 3;1 4;blue 2 3;red 1 2 solver=ERROR:NOT_INDEPENDENT oracle=NO note=solver rejected the instance
+MISMATCH n 4;edges 3;1 2;1 3;1 4;blue 2 4;red 1 2 solver=ERROR:NOT_INDEPENDENT oracle=NO note=solver rejected the instance
+MISMATCH n 4;edges 3;1 2;1 3;1 4;blue 3 4;red 1 2 solver=ERROR:NOT_INDEPENDENT oracle=NO note=solver rejected the instance
+MISMATCH n 4;edges 3;1 2;1 3;1 4;blue 1 2;red 2 3 solver=ERROR:NOT_INDEPENDENT oracle=NO note=solver rejected the instance
+MISMATCH n 4;edges 3;1 2;1 3;1 4;blue 1 2;red 2 4 solver=ERROR:NOT_INDEPENDENT oracle=NO note=solver rejected the instance
+MISMATCH n 4;edges 3;1 2;1 3;1 4;blue 1 2;red 3 4 solver=ERROR:NOT_INDEPENDENT oracle=NO note=solver rejected the instance
+MISMATCH n 4;edges 3;1 2;1 3;1 4;blue 1 2;red 1 2 solver=ERROR:NOT_INDEPENDENT oracle=0 note=solver rejected the instance
+MISMATCH n 4;edges 3;1 2;1 3;2 4;blue 1 4;red 1 2 solver=ERROR:NOT_INDEPENDENT oracle=NO note=solver rejected the instance
+MISMATCH n 4;edges 3;1 2;1 3;2 4;blue 2 3;red 1 2 solver=ERROR:NOT_INDEPENDENT oracle=NO note=solver rejected the instance
+MISMATCH n 4;edges 3;1 2;1 3;2 4;blue 3 4;red 1 2 solver=ERROR:NOT_INDEPENDENT oracle=NO note=solver rejected the instance
+MISMATCH n 4;edges 3;1 2;1 3;2 4;blue 1 2;red 1 4 solver=ERROR:NOT_INDEPENDENT oracle=NO note=solver rejected the instance
+MISMATCH n 4;edges 3;1 2;1 3;2 4;blue 1 2;red 2 3 solver=ERROR:NOT_INDEPENDENT oracle=NO note=solver rejected the instance
+MISMATCH n 4;edges 3;1 2;1 3;2 4;blue 1 2;red 3 4 solver=ERROR:NOT_INDEPENDENT oracle=NO note=solver rejected the instance
+MISMATCH n 4;edges 3;1 2;1 3;2 4;blue 1 2;red 1 2 solver=ERROR:NOT_INDEPENDENT oracle=0 note=solver rejected the instance
+CHECKED 74 MISMATCHES 14
+""",
+}
+
+
+@pytest.mark.parametrize("cls", sorted(TOUCHING_SET_LINES))
+def test_a_touching_set_is_rejected_for_each_of_its_pairs(cls, monkeypatch):
+    cc = importlib.import_module("tokenslide.crosscheck")
+    enumerate_sets = cc.enumerate_independent_sets
+
+    def with_touching_set(g, k):
+        yield from enumerate_sets(g, k)
+        if k == 2 and g.n == 4:
+            yield g.edges()[0]
+
+    monkeypatch.setattr(cc, "enumerate_independent_sets", with_touching_set)
+    assert crosscheck(cls, 4, k_max=2).render() == TOUCHING_SET_LINES[cls]

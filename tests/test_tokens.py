@@ -5,11 +5,11 @@ import pytest
 
 from tokenslide.caterpillar import mark_locked, solve_caterpillar
 from tokenslide.generate import path_representation
-from tokenslide.graphs import Graph
+from tokenslide.graphs import Graph, ValidationResult, validate_sequence
 from tokenslide.intervals import parse_representation
 from tokenslide.oracle import bfs
 from tokenslide.proper import solve_proper
-from tokenslide.results import SolverInputError
+from tokenslide.results import SolverInputError, check_tokens, checked_tokens
 from tokenslide.trivially_perfect import solve_tp
 
 P6 = path_representation(6)
@@ -93,3 +93,35 @@ def test_bfs_rejects_a_bad_set_like_the_solvers(tokens, kind):
         assert exc.value.kind == kind
         expected = outcome(solve_caterpillar, P4_GRAPH, blue, red)
         assert outcome(bfs, P4_GRAPH, blue, red) == expected
+
+
+# (1, 3) is independent on each first structure and touches on each second:
+# paths against stars centred on 1
+@pytest.mark.parametrize("home, other, solver", [
+    (P6, STAR, solve_tp),
+    (Graph(3, [(1, 2), (2, 3)]), Graph.from_representation(STAR), solve_caterpillar),
+    (P6_GRAPH, Graph.from_representation(STAR), solve_caterpillar),
+])
+def test_a_set_checked_on_one_structure_is_checked_again_on_another(home, other, solver):
+    tokens = checked_tokens((1, 3), home)
+    assert check_tokens("blue", tokens, home) is tokens
+    with pytest.raises(SolverInputError) as exc:
+        check_tokens("blue", tokens, other)
+    assert (exc.value.kind, str(exc.value), exc.value.details) == (
+        "NOT_INDEPENDENT", "blue tokens touch each other", (1, 3)
+    )
+    with pytest.raises(SolverInputError, match="blue tokens touch"):
+        solver(other, tokens, tokens)
+    touching = ValidationResult(False, 0, "NOT_INDEPENDENT")
+    assert validate_sequence(other, tokens, tokens, []) == touching
+    # a set checked on the structure itself does not vouch for the other one
+    assert validate_sequence(other, tokens, checked_tokens((1,), other), []) == touching
+    assert validate_sequence(home, tokens, tokens, []) == ValidationResult(True)
+
+
+def test_a_checked_set_keeps_the_range_check_elsewhere():
+    tokens = checked_tokens((1, 5), P6_GRAPH)
+    with pytest.raises(SolverInputError, match="token 5 is not a vertex"):
+        check_tokens("red", tokens, P4_GRAPH)
+    with pytest.raises(ValueError, match="blue vertex out of range 1..4"):
+        validate_sequence(P4_GRAPH, tokens, tokens, [])
