@@ -57,6 +57,12 @@ class TestExhaustive:
         ]
         assert report.checked == _expected_pairs(graphs)
 
+    def test_below_smallest_graph_is_empty(self):
+        # no caterpillar has two vertices, so the sweep would check nothing;
+        # it is refused rather than reported as a clean CHECKED 0
+        with pytest.raises(ValueError, match="caterpillar sweep needs n_max at least 3, got 2"):
+            crosscheck("caterpillar", 2)
+
     def test_sharding_does_not_change_the_report(self):
         assert crosscheck("caterpillar", 6, jobs=3) == crosscheck(
             "caterpillar", 6
