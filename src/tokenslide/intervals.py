@@ -9,6 +9,7 @@ intersect iff neither ends before the other begins.
 
 from __future__ import annotations
 
+import json
 from array import array
 from collections import defaultdict
 from enum import Enum
@@ -148,7 +149,9 @@ def _is_number(field: str) -> bool:
 
 
 _side, _vid = itemgetter(0), itemgetter(1)
-_numeral = itemgetter(slice(1, None))
+_SPACE_TO_COMMA = bytes.maketrans(b" ", b",")
+# every id the scanner takes has at most MAX_DIGITS digits, limit or not
+_ID_LIMIT = 10**MAX_DIGITS
 
 
 def _endpoint_ranks(sides: str, ids: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -188,37 +191,57 @@ def _endpoint_ranks(sides: str, ids: Sequence[int]) -> tuple[list[int], list[int
     return left, right
 
 
+def _scan_word(text: str) -> tuple[str, list[int]] | None:
+    """The side letters and ids of a word spelled as ``serialize`` writes
+    it, tokens ``[LR][1-9][0-9]*`` one space apart after stripping, or
+    None for any other text.  The letters come from one
+    ``bytes.translate``, and the ids from one ``json.loads`` of the word
+    with its letters deleted and its spaces made commas, so no str is
+    made per token.  Each space must start a token, and the JSON list
+    must hold one id per letter, so each token is one letter and then a
+    JSON numeral: a leading zero fails there, and a zero, or more than
+    ``MAX_DIGITS`` digits with the int-string limit off, fails after."""
+    if not text.isascii():
+        return None
+    word = text.strip().encode()
+    sides = word.translate(None, b"0123456789 ")
+    if (word[:1] not in (b"L", b"R") or sides.strip(b"LR")
+            or word.count(b" ") != word.count(b" L") + word.count(b" R")):
+        return None
+    # rebound, so that the word is freed before the id list is built
+    word = b"[%b]" % word.translate(_SPACE_TO_COMMA, b"LR")
+    try:
+        ids = json.loads(word)
+    except ValueError:  # an empty or zero-led numeral, or one past the int-string limit
+        return None
+    if len(ids) != len(sides) or min(ids) < 1 or max(ids) >= _ID_LIMIT:
+        return None
+    return sides.decode(), ids
+
+
 def parse_representation(text: str) -> IntervalRepresentation:
     """Parse an endpoint string, reporting the offending token position on error.
 
-    One pass checks the line whole: its side letters as one string, its
-    numerals joined as one run of ASCII digits, read with one ``map(int)``
-    into the id array.  Only a line that fails is read again token by
-    token, to name its first malformed token.  The token and numeral
-    lists go before the pairing check builds the rank lists, and the
-    representation keeps those as its ``left_rank`` and ``right_rank``.
+    ``_scan_word`` reads the word whole, and if that fails, reads it again
+    with its whitespace made single spaces.  Only a word that still fails
+    is read token by token: that names its first malformed token, or
+    reads ids with leading zeros, the one valid spelling the scanner
+    refuses.  The pairing check then builds the rank lists from the id
+    list, and the representation keeps them as its ``left_rank`` and
+    ``right_rank`` beside the ids as an ``array('i')``.
     """
-    tokens = text.split()
-    sides = "".join(map(_side, tokens))
-    numerals = list(map(_numeral, tokens))
-    digits = "".join(numerals)
-    ids = None
-    if (not sides.strip("LR") and digits.isdigit() and digits.isascii()
-            and "" not in numerals and max(map(len, numerals)) <= MAX_DIGITS):
-        try:
-            ids = array("i", map(int, numerals))
-        except OverflowError:  # an id past a C int: the pairing check names it
-            ids = list(map(int, numerals))
-    if ids is None or min(ids) < 1:
-        # an empty line has no bad token, and no ids
+    word = _scan_word(text) or _scan_word(" ".join(text.split()))
+    if word is None:
+        tokens = text.split()
         for pos, tok in enumerate(tokens, start=1):
             side, num = tok[:1], tok[1:]
             if side not in ("L", "R") or not _is_number(num) or int(num) < 1:
                 raise RepresentationError(f"malformed endpoint token {tok!r}", pos)
-        ids = array("i")
-    del tokens, numerals, digits
+        # an empty line has no bad token, and no ids
+        word = "".join(map(_side, tokens)), [int(tok[1:]) for tok in tokens]
+    sides, ids = word
     ranks = _endpoint_ranks(sides, ids)
-    # ids in 1..n fit a C int, so ids is the array
-    rep = IntervalRepresentation.from_word(sides, ids)
+    # ids in 1..n fit a C int
+    rep = IntervalRepresentation.from_word(sides, array("i", ids))
     rep.__dict__["_ranks"] = ranks  # what the cached property would build
     return rep

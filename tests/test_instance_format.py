@@ -8,8 +8,10 @@ message and token position.
 """
 
 import random
+import sys
 from types import SimpleNamespace
 
+from tokenslide.generate import gen_instance
 from tokenslide.intervals import IntervalRepresentation, RepresentationError, parse_representation
 from tokenslide.instances import Instance, InstanceFormatError, parse_instance
 
@@ -224,10 +226,32 @@ def test_endpoint_word_matches_reference_on_the_named_cases():
              "L1 R1 L", "L", "R", "L1\tR1", "L1\xa0L2　R1\x1cR2", "L01 R001",
              "L1 R1 L" + LONG + " R" + LONG, "L1 R1 L" + "9" * 4300 + " R" + "9" * 4300,
              "L5000000000 L1 R1 L5000000000", "L1 L2 R1", "R1 L1", "L1 L1 R1 R1",
-             "L1 R1 R1", "L1 L3 R1 R3", "L2 R2", "L1 R2 L2 R1"]
+             "L1 R1 R1", "L1 L3 R1 R3", "L2 R2", "L1 R2 L2 R1",
+             # at the edges of the whole-word scan: a digit first, a letter
+             # glued on or missing, whitespace around or doubled, leading zeros
+             "1L 2R", "L1R 2", "L1 2", "LL1 R1", "L1  R1", " L1 R1 ", "L1 R1\n", "L01 R01",
+             "L" + LONG + " R" + LONG]
+    word = gen_instance("proper", 10**4, 30, seed=0).rep.serialize()
+    cases += [word, word.replace(" ", "\t")]
     for text in cases:
         expected = word_outcome(reference_parse_representation, text)
-        assert word_outcome(parse_representation, text) == expected, text
+        assert word_outcome(parse_representation, text) == expected, text[:40]
+
+
+def test_an_id_past_the_digit_limit_is_malformed_with_the_int_string_limit_off():
+    """The scanner bounds an id's digits itself, as ``json.loads`` reads
+    any length once the interpreter's int-string limit is off."""
+    text = "L1 R1 L" + LONG + " R" + LONG
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        outcome = word_outcome(parse_representation, text)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert outcome == ("error", f"token 3: malformed endpoint token 'L{LONG}'", 3)
+    assert outcome == word_outcome(parse_representation, text)
 
 
 def random_instance(rng):

@@ -119,6 +119,23 @@ def test_a_word_holds_a_few_bytes_per_endpoint(name, limit):
     assert held <= limit * 2 * n, held / (2 * n)
 
 
+def test_parsing_a_word_peaks_at_a_few_dozen_bytes_per_endpoint():
+    """The scanner reads a canonical word with no str per token: the
+    parse peaks at about 77 bytes an endpoint, where a split into tokens
+    and numerals peaked at 133."""
+    n = 10**4
+    text = gen_instance("proper", n, 30, seed=0).rep.serialize()
+    parse_representation(text)  # fills the free lists first, as above
+    gc.collect()
+    tracemalloc.start()
+    try:
+        parse_representation(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * 2 * n, peak / (2 * n)
+
+
 def test_an_id_past_the_endpoint_count_sizes_no_list():
     """An id above half the endpoint count is named without a list that
     long; the ids here would need one of 10**4300 entries."""
